@@ -559,6 +559,8 @@ let handle_interrupt t hart vh (i : Cause.intr) =
              | Vhart.Firmware ->
                  Csr_file.set_mip_bits vh.Vhart.csr Csr_spec.Irq.ssip true
            end);
+          (* a delivered SBI remote fence drops all decoded state;
+             the flush costs O(pages decoded since the last one) *)
           (if Vclint.rfence_pending t.vclint h then begin
              Vclint.set_rfence_pending t.vclint h false;
              Machine.flush_icache t.machine

@@ -1,26 +1,31 @@
-(* Decoded basic blocks and their physically-indexed cache.
+(* Decoded basic blocks and the per-machine decode cache.
 
    A block is a run of pre-decoded instructions compiled to closures,
    one per instruction, each advancing the hart exactly as the
    interpreter's [Machine.exec] would (most delegate straight to it).
-   Blocks are keyed by the icache word index of their first
-   instruction — a *physical* RAM location — so a block is valid for
-   any virtual alias of its page; virtual-side validity (translation,
-   privilege, page-wide PMP execute) is re-established on every
-   dispatch through the TLB fetch-page cache, which the vm-epoch
-   machinery already invalidates on satp/PMP/mstatus writes and
-   sfence.vma.
+   Blocks are keyed by the RAM word index of their first instruction
+   — a *physical* location — so a block is valid for any virtual
+   alias of its page; virtual-side validity (translation, privilege,
+   page-wide PMP execute) is re-established on every dispatch through
+   the TLB fetch-page cache, which the vm-epoch machinery already
+   invalidates on satp/PMP/mstatus writes and sfence.vma.
 
-   Physical-side invalidation is page-granular: any store into a RAM
-   page that holds compiled blocks drops every block on that page
-   (blocks never span a 4 KiB page, so clearing a page's slot range is
-   a complete kill). Over-invalidation is harmless — a recompile reads
-   the same icache entries the interpreter would fetch — and the
-   [page_count] guard keeps the common store-to-data-page case at one
-   array read.
+   All decoded state lives in one sparse table of 4 KiB page records,
+   built on first decode: a page's decoded words (what the
+   interpreter fetches) and the blocks starting on it (what the
+   engine dispatches). Pages never decoded share one cold sentinel
+   record, so the hot reads ([word], [lookup]) stay unconditional
+   array loads; the sentinel is never written. Invalidation is one
+   path: a store into a populated page drops the stored word and
+   every block on the page (blocks never span a 4 KiB page, so that
+   is a complete kill), a store into a cold page does nothing, and a
+   flush drops the populated records only. Over-invalidation is
+   harmless — a recompile reads the same decoded words the
+   interpreter would fetch.
 
    The cache lives inside the owning [Machine.t] (lint rule 6: no
-   top-level mutable state in the domain-shared core). *)
+   top-level mutable state in the domain-shared core); so does its
+   sentinel, because fleet machines run on different domains. *)
 
 type t = {
   ops : (Hart.t -> unit) array;
@@ -69,9 +74,19 @@ type t = {
 
 let length b = Array.length b.ops
 
+let words_per_page = 1024 (* 4 KiB / 4 *)
+
+type page = {
+  words : (Instr.t * int) option array;
+      (* decoded instruction and raw bits per word of the page *)
+  slots : t option array;  (* block starting at each word *)
+  mutable live : int;  (* blocks in [slots] *)
+}
+
 type cache = {
-  slots : t option array;  (* indexed like Machine.icache: RAM word *)
-  page_count : int array;  (* live blocks per 4 KiB RAM page *)
+  pages : page array;  (* per RAM page; [empty] until first decode *)
+  empty : page;  (* cold sentinel, never written *)
+  mutable populated : int list;  (* pages holding a real record *)
   mutable compiled : int;
   mutable invalidated : int;
   mutable dispatches : int;  (* block executions begun *)
@@ -81,12 +96,19 @@ type cache = {
          (cold/undecodable first word, fetch-page-cache miss) *)
 }
 
-let words_per_page = 1024 (* 4 KiB / 4 *)
+let new_page () =
+  {
+    words = Array.make words_per_page None;
+    slots = Array.make words_per_page None;
+    live = 0;
+  }
 
 let create ~words =
+  let empty = new_page () in
   {
-    slots = Array.make words None;
-    page_count = Array.make ((words + words_per_page - 1) / words_per_page) 0;
+    pages = Array.make ((words + words_per_page - 1) / words_per_page) empty;
+    empty;
+    populated = [];
     compiled = 0;
     invalidated = 0;
     dispatches = 0;
@@ -94,34 +116,58 @@ let create ~words =
     interp_instrs = 0;
   }
 
-let lookup c idx = Array.unsafe_get c.slots idx
+let word c idx =
+  Array.unsafe_get c.pages.(idx lsr 10).words (idx land (words_per_page - 1))
+
+let lookup c idx =
+  Array.unsafe_get
+    (Array.unsafe_get c.pages (idx lsr 10)).slots
+    (idx land (words_per_page - 1))
+
+(* The page record for word [idx], built on first use. *)
+let populate c idx =
+  let pg = idx lsr 10 in
+  let p = c.pages.(pg) in
+  if p != c.empty then p
+  else begin
+    let p = new_page () in
+    c.pages.(pg) <- p;
+    c.populated <- pg :: c.populated;
+    p
+  end
+
+let set_word c idx entry =
+  (populate c idx).words.(idx land (words_per_page - 1)) <- Some entry
 
 let insert c idx b =
-  c.slots.(idx) <- Some b;
-  c.page_count.(idx / words_per_page) <-
-    c.page_count.(idx / words_per_page) + 1;
+  let p = c.pages.(idx lsr 10) in
+  if p == c.empty then invalid_arg "Block.insert: cold page";
+  p.slots.(idx land (words_per_page - 1)) <- Some b;
+  p.live <- p.live + 1;
   c.compiled <- c.compiled + 1
 
-(* Kill every block on the page containing word [idx] (a store landed
-   there). One array read when the page holds no blocks. *)
+(* A store hit word [idx]: drop the word and every block on its page.
+   A page never decoded has nothing to drop and stays cold. *)
 let invalidate_word c idx =
-  let page = idx / words_per_page in
-  let n = c.page_count.(page) in
-  if n > 0 then begin
-    Array.fill c.slots (page * words_per_page) words_per_page None;
-    c.page_count.(page) <- 0;
-    c.invalidated <- c.invalidated + n
+  let p = c.pages.(idx lsr 10) in
+  if p != c.empty then begin
+    p.words.(idx land (words_per_page - 1)) <- None;
+    if p.live > 0 then begin
+      Array.fill p.slots 0 words_per_page None;
+      c.invalidated <- c.invalidated + p.live;
+      p.live <- 0
+    end
   end
 
 let flush c =
-  Array.iteri
-    (fun page n ->
-      if n > 0 then begin
-        Array.fill c.slots (page * words_per_page) words_per_page None;
-        c.page_count.(page) <- 0;
-        c.invalidated <- c.invalidated + n
-      end)
-    c.page_count
+  List.iter
+    (fun pg ->
+      c.invalidated <- c.invalidated + c.pages.(pg).live;
+      c.pages.(pg) <- c.empty)
+    c.populated;
+  c.populated <- []
+
+let populated_pages c = List.length c.populated
 
 let note_dispatch c = c.dispatches <- c.dispatches + 1
 let note_dispatches c n = c.dispatches <- c.dispatches + n

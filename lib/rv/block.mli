@@ -1,14 +1,14 @@
-(** Decoded basic blocks and their physically-indexed cache.
+(** Decoded basic blocks and the per-machine decode cache.
 
     A block is an array of pre-decoded instruction closures keyed by
-    the icache word index (physical RAM location) of its first
-    instruction. Virtual-side validity is re-checked on every dispatch
-    through the TLB fetch-page cache (vm-epoch invalidation covers
-    satp/PMP/mstatus writes and sfence.vma); physical-side
-    invalidation is page-granular and driven by the same
-    [Machine.icache_invalidate]/[flush_icache] events that keep the
-    word icache coherent. See DESIGN.md §11 for the full invalidation
-    matrix. *)
+    the RAM word index (physical location) of its first instruction.
+    Virtual-side validity is re-checked on every dispatch through the
+    TLB fetch-page cache (vm-epoch invalidation covers
+    satp/PMP/mstatus writes and sfence.vma). The cache also holds the
+    decoded words the interpreter fetches, in one lazily built record
+    per 4 KiB RAM page, so physical-side invalidation of words and
+    blocks is a single path ([invalidate_word], [flush]). See
+    DESIGN.md §11 for the full invalidation matrix. *)
 
 type t = {
   ops : (Hart.t -> unit) array;
@@ -39,12 +39,20 @@ type t = {
 val length : t -> int
 
 type cache
-(** Per-machine block store, indexed like the icache (one slot per RAM
-    word). Owned by a [Machine.t] — never shared across machines or
-    domains. *)
+(** Per-machine decode cache: one record per 4 KiB RAM page, created
+    on the first decode into the page and dropped by {!flush}. Owned
+    by a [Machine.t] — never shared across machines or domains. *)
 
 val create : words:int -> cache
-(** [words] = RAM size / 4, matching the icache. *)
+(** [words] = RAM size / 4. Allocates one pointer per RAM page and a
+    shared cold page; no per-word state until something is decoded. *)
+
+val word : cache -> int -> (Instr.t * int) option
+(** Decoded instruction and raw bits at a RAM word index, if warm. *)
+
+val set_word : cache -> int -> Instr.t * int -> unit
+(** Record a decoded word, building its page record if it is the
+    page's first. *)
 
 val lookup : cache -> int -> t option
 (** Block starting at the given RAM word index, if still live. The
@@ -52,7 +60,8 @@ val lookup : cache -> int -> t option
     only holds pages wholly inside RAM). *)
 
 val insert : cache -> int -> t -> unit
-(** Publish a freshly compiled block at its start word index. *)
+(** Publish a freshly compiled block at its start word index, which
+    must be warm. *)
 
 val note_dispatch : cache -> unit
 val note_dispatches : cache -> int -> unit
@@ -61,12 +70,18 @@ val note_interp_instr : cache -> unit
 (** Stats feeders for the executor in [Machine]. *)
 
 val invalidate_word : cache -> int -> unit
-(** A store hit the given RAM word: drop every block on its 4 KiB
-    page (blocks never span pages, so this is a complete kill). Costs
-    one array read when the page holds no blocks. *)
+(** A store hit the given RAM word: drop the decoded word and every
+    block on its 4 KiB page (blocks never span pages, so this is a
+    complete kill). A page never decoded stays cold: no record is
+    built. *)
 
 val flush : cache -> unit
-(** Drop every block (program load, snapshot restore, fence.i). *)
+(** Drop every page record (program load, snapshot restore, fence.i,
+    remote fence), counting their live blocks as invalidated. Costs
+    O(populated pages), not O(RAM). *)
+
+val populated_pages : cache -> int
+(** Pages currently holding a record. *)
 
 type stats = {
   compiled : int;

@@ -62,7 +62,6 @@ type t = {
   uart : Uart.t;
   mutable blockdev : Blockdev.t option;
   mutable nic : Nic.t option;
-  icache : (Instr.t * int) option array;
   blocks : Block.cache;
   mutable block_engine : bool;
   mutable mmode_hook : (t -> Hart.t -> Cause.t -> unit) option;
@@ -106,7 +105,6 @@ let create config =
       uart;
       blockdev = None;
       nic = None;
-      icache = Array.make (config.ram_size / 4) None;
       blocks = Block.create ~words:(config.ram_size / 4);
       block_engine = config.block_engine;
       mmode_hook = None;
@@ -152,29 +150,28 @@ let attach_nic t =
 let phys_load t addr size = Bus.load t.bus addr size
 let phys_store t addr size v = Bus.store t.bus addr size v
 
-let icache_index t addr =
+let word_index t addr =
   let off = Int64.sub addr t.config.ram_base in
   if off >= 0L && off < Int64.of_int t.config.ram_size then
     Some (Int64.to_int off / 4)
   else None
 
-let icache_invalidate t addr size =
-  match icache_index t addr with
-  | Some i ->
-      t.icache.(i) <- None;
-      Block.invalidate_word t.blocks i;
-      let last = Int64.add addr (Int64.of_int (size - 1)) in
-      (match icache_index t last with
-      | Some j when j <> i ->
-          t.icache.(j) <- None;
-          Block.invalidate_word t.blocks j
-      | _ -> ())
-  | None -> ()
+(* The one invalidation path for decoded state: [size] bytes at
+   physical [addr] were written, so drop the decoded words they cover
+   and every block on those words' pages. Writes outside RAM, and
+   writes to pages nothing was ever decoded from, cost a compare. *)
+let invalidate_icache t addr size =
+  let off = Int64.sub addr t.config.ram_base in
+  if off >= 0L && off < Int64.of_int t.config.ram_size then begin
+    let words = t.config.ram_size / 4 in
+    let last = (Int64.to_int off + size - 1) lsr 2 in
+    let last = if last < words then last else words - 1 in
+    for i = Int64.to_int off lsr 2 to last do
+      Block.invalidate_word t.blocks i
+    done
+  end
 
-let flush_icache t =
-  Array.fill t.icache 0 (Array.length t.icache) None;
-  Block.flush t.blocks
-let invalidate_icache t addr size = icache_invalidate t addr size
+let flush_icache t = Block.flush t.blocks
 
 (* Deferred cross-hart actions for the injected race windows: the
    countdown ticks once per global machine step (any hart), so a
@@ -482,7 +479,7 @@ let vstore t hart vaddr size v =
          match t.on_mmio with
          | Some f -> f t hart ~write:true ~addr:phys ~size:1 ~value:byte
          | None -> ());
-      icache_invalidate t phys 1
+      invalidate_icache t phys 1
     done
   end
   else begin
@@ -510,10 +507,11 @@ let vstore t hart vaddr size v =
             h.Hart.reservation <- None
         | _ -> ())
       t.harts;
-    icache_invalidate t phys size
+    invalidate_icache t phys size
   end
 
-(* Fill one icache slot from RAM; [idx] is a word index inside RAM. *)
+(* Decode one RAM word into the cache; [idx] is a word index inside
+   RAM. *)
 let fetch_fill t idx ~pc =
   let phys = Int64.add t.config.ram_base (Int64.of_int (idx lsl 2)) in
   match phys_load t phys 4 with
@@ -522,7 +520,7 @@ let fetch_fill t idx ~pc =
       let bits = Int64.to_int word in
       match Decode.decode bits with
       | Some i ->
-          t.icache.(idx) <- Some (i, bits);
+          Block.set_word t.blocks idx (i, bits);
           (i, bits)
       | None -> raise (Cause.Trap (Cause.Illegal_instr, word))
     end
@@ -533,14 +531,15 @@ let fetch t hart =
     raise (Cause.Trap (Cause.Instr_misaligned, pc));
   let tlb = hart.Hart.tlb in
   Tlb.sync_epoch tlb (Csr_file.vm_epoch hart.Hart.csr);
-  (* fetch fast path: the current fetch page's icache base is cached,
-     so straight-line fetches cost two compares and two array reads *)
+  (* fetch fast path: the current fetch page's RAM word base is
+     cached, so straight-line fetches cost two compares and a
+     decode-cache read *)
   let base = Tlb.fetch_lookup tlb ~priv:hart.Hart.priv pc in
   let idx =
     if base >= 0 then base + ((Int64.to_int pc land 0xFFF) lsr 2)
     else begin
       let phys = resolve t hart ~priv:hart.Hart.priv Vmem.Fetch pc 4 in
-      match icache_index t phys with
+      match word_index t phys with
       | None ->
           (* Fetches must target RAM. *)
           raise (Cause.Trap (Cause.Instr_access_fault, pc))
@@ -561,7 +560,7 @@ let fetch t hart =
           idx
     end
   in
-  match t.icache.(idx) with
+  match Block.word t.blocks idx with
   | Some entry -> entry
   | None -> fetch_fill t idx ~pc
 
@@ -775,7 +774,7 @@ let exec t hart instr bits =
               hart.Hart.reservation <- None;
               if not (phys_store t phys size (Hart.get hart rs2)) then
                 raise (Cause.Trap (Cause.Store_access_fault, addr));
-              icache_invalidate t phys size;
+              invalidate_icache t phys size;
               Hart.set hart rd 0L;
               next ()
           | _ ->
@@ -811,7 +810,7 @@ let exec t hart instr bits =
               in
               if not (phys_store t phys size result) then
                 raise (Cause.Trap (Cause.Store_access_fault, addr));
-              icache_invalidate t phys size;
+              invalidate_icache t phys size;
               (* an atomic write breaks other harts' reservations *)
               Array.iter
                 (fun h ->
@@ -1069,9 +1068,9 @@ let class_of_instr instr =
     | Instr.Load _ | Instr.Store _ | Instr.Amo _ -> 2
     | _ -> 3
 
-(* Compile a block starting at icache word [idx0], reading only
-   already-warm icache entries: compilation must never touch RAM or
-   the bus, because a cold fill here would change icache fill timing
+(* Compile a block starting at RAM word [idx0], reading only
+   already-decoded words: compilation must never touch RAM or the
+   bus, because a cold fill here would change decode fill timing
    relative to the interpreter (observable through DMA, which
    bypasses store-side invalidation until the next fence.i). Returns
    None when the first word is cold — the dispatcher then interprets
@@ -1079,7 +1078,8 @@ let class_of_instr instr =
    page-granular store invalidation is a complete kill and the
    dispatch-time fetch-page check covers every instruction. *)
 let compile_block t idx0 =
-  match t.icache.(idx0) with
+  let word k = Block.word t.blocks (idx0 + k) in
+  match word 0 with
   | None -> None
   | Some _ ->
       let page_end = ((idx0 lsr 10) + 1) lsl 10 in
@@ -1088,7 +1088,7 @@ let compile_block t idx0 =
       let n = ref 0 in
       let scanning = ref true in
       while !scanning && idx0 + !n < limit do
-        match t.icache.(idx0 + !n) with
+        match word !n with
         | None -> scanning := false
         | Some (i, _) ->
             incr n;
@@ -1097,7 +1097,7 @@ let compile_block t idx0 =
       let n = !n in
       let ops =
         Array.init n (fun k ->
-            match t.icache.(idx0 + k) with
+            match word k with
             | Some (i, bits) -> op_of_instr t i bits ~off:(k lsl 2)
             | None -> assert false)
       in
@@ -1105,7 +1105,7 @@ let compile_block t idx0 =
       let cls = Bytes.make n '\000' in
       let run = ref 0 in
       for k = n - 1 downto 0 do
-        (match t.icache.(idx0 + k) with
+        (match word k with
         | Some (i, _) ->
             if Instr.is_pure i then incr run else run := 0;
             Bytes.set cls k (Char.chr (class_of_instr i))
@@ -1137,7 +1137,7 @@ let get_or_compile t idx =
 
    Per-instruction equivalence with the interpreter: each retired
    instruction gets exactly one [pre_step] (the elided per-fetch work
-   — alignment check, epoch sync, fetch-page lookup, icache read —
+   — alignment check, epoch sync, fetch-page lookup, decode-cache read —
    cannot change outcome mid-block: pcs stay sequential and aligned,
    nothing inside a block bumps the vm-epoch before its terminator,
    and any store that rewrites this page kills the block, which the
@@ -1182,7 +1182,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
   let pure = ref blk0.Block.pure_run in
   let cls = ref blk0.Block.cls in
   let n = ref (Array.length blk0.Block.ops) in
-  (* virtual entry pc of the current block and the icache word index
+  (* virtual entry pc of the current block and the RAM word index
      of its page, valid while [have_page] (killed by the interpreter
      fallback, whose instruction may change anything) *)
   let entry_pc = ref hart.Hart.pc in
@@ -1672,7 +1672,7 @@ let step_blocks t hart ~budget =
         let idx = base + ((Int64.to_int pc land 0xFFF) lsr 2) in
         match get_or_compile t idx with
         | None ->
-            (* cold icache word: interpret once to warm it *)
+            (* cold (undecoded) word: interpret once to warm it *)
             fetch_exec_one t hart;
             Block.note_interp_instr t.blocks;
             incr steps

@@ -63,11 +63,10 @@ type t = {
   uart : Uart.t;
   mutable blockdev : Blockdev.t option;
   mutable nic : Nic.t option;
-  icache : (Instr.t * int) option array;
-      (** decoded-instruction cache (instruction, raw bits) *)
   blocks : Block.cache;
-      (** decoded basic blocks over the icache, physically indexed;
-          see DESIGN.md §11 *)
+      (** the decode cache: decoded words and the basic blocks built
+          from them, in one sparse record per 4 KiB RAM page,
+          physically indexed; see DESIGN.md §11 *)
   mutable block_engine : bool;
       (** whether {!run} dispatches through {!step_blocks}; initial
           value comes from {!field:config.block_engine} *)
@@ -111,7 +110,7 @@ val phys_load : t -> int64 -> int -> int64 option
 val phys_store : t -> int64 -> int -> int64 -> bool
 
 val load_program : t -> int64 -> bytes -> unit
-(** Copy a program image into RAM and invalidate the icache. *)
+(** Copy a program image into RAM and flush the decode cache. *)
 
 val pmp_check :
   t -> Hart.t -> priv:Priv.t -> Pmp.access -> addr:int64 -> size:int -> bool
@@ -152,7 +151,8 @@ val block_hit_rate : t -> float
 
 val set_block_engine : t -> bool -> unit
 (** Toggle the engine used by {!run}; flushing is unnecessary because
-    blocks mirror icache contents either way. *)
+    blocks are built from the same decoded words the interpreter
+    fetches. *)
 
 val block_engine_enabled : t -> bool
 
@@ -188,10 +188,15 @@ val now_ticks : t -> int64
 (** Current mtime. *)
 
 val flush_icache : t -> unit
+(** Drop all decoded state: every decoded word and block ([fence.i],
+    remote fences, program load, snapshot restore). Costs O(pages
+    decoded since the last flush), not O(RAM). *)
 
 val invalidate_icache : t -> int64 -> int -> unit
-(** Invalidate the decoded-instruction cache for a physical range
-    (used by the verifier, which patches instructions directly). *)
+(** [invalidate_icache t addr size]: bytes were written at a physical
+    range, so drop the decoded words it covers and every block on
+    their pages. Guest stores take this path; so does the verifier,
+    which patches instructions directly. *)
 
 val sfence_vma : t -> ?from:int -> ?vaddr:int64 -> unit -> unit
 (** Architectural [sfence.vma] over the software TLBs of all harts:

@@ -29,9 +29,10 @@
    install, so per-address sfence semantics need no range logic.
 
    A separate single-entry fetch-page cache maps the current fetch
-   vpage to an icache word index base, letting straight-line fetches
-   skip even the TLB probe.  It obeys the same two invalidation
-   tiers. *)
+   vpage to the RAM word index of its physical page start (the decode
+   cache's key: page [base lsr 10], word [base land 1023] = 0),
+   letting straight-line fetches skip even the TLB probe.  It obeys
+   the same two invalidation tiers. *)
 
 type t = {
   size : int; (* number of slots; 0 disables the TLB entirely *)
@@ -41,7 +42,7 @@ type t = {
   pbase : int array; (* physical page base (low 12 bits clear) *)
   mutable epoch : int;
   mutable fetch_tag : int; (* same tag encoding; 0 = invalid *)
-  mutable fetch_base : int; (* icache word index of the page start *)
+  mutable fetch_base : int; (* RAM word index of the page start *)
   mutable hits : int;
   mutable misses : int;
   mutable flushes : int;

@@ -76,6 +76,7 @@ val iter_valid :
     sfence-coherence oracle to re-walk every cached translation. *)
 
 val fetch_lookup : t -> priv:Priv.t -> int64 -> int
-(** icache word-index base for the cached fetch page, or [-1]. *)
+(** RAM word index of the cached fetch page's start (the decode-cache
+    key of its first word), or [-1]. *)
 
 val fetch_install : t -> priv:Priv.t -> int64 -> base:int -> unit

@@ -132,7 +132,8 @@ let restore (m : Machine.t) t =
   m.Machine.instr_count <- Int64.to_int t.instrs;
   m.Machine.poweroff <- false;
   (* Both derived caches must drop: restored RAM invalidates decoded
-     instructions, restored satp/PMP/page tables invalidate cached
+     words and blocks (a flush costs only the pages decoded since the
+     last one), restored satp/PMP/page tables invalidate cached
      translations (the CSR restore also bumps the vm-epoch, but the
      explicit flush keeps the invariant independent of that path). *)
   Machine.flush_icache m;

@@ -25,7 +25,7 @@ val take :
 val restore : Mir_rv.Machine.t -> t -> unit
 (** Rewind the machine: memory (chain root forward), harts, devices,
     the [restore_extra] closure, the instruction counter. Clears
-    poweroff and flushes the icache and every hart's TLB. *)
+    poweroff and flushes the decode cache and every hart's TLB. *)
 
 val instrs : t -> int64
 val events_before : t -> int

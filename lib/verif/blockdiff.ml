@@ -131,7 +131,7 @@ let setup side case =
     invalid_arg "Blockdiff.setup: code must be 1..256 words";
   let prng = Prng.create ~seed:case.seed in
   (* deterministic data-page contents first (so loads see real bits),
-     then the image load, which flushes the icache and block cache *)
+     then the image load, which flushes the decode cache *)
   for i = 0 to 511 do
     ignore
       (Machine.phys_store side.machine

@@ -97,6 +97,19 @@ if [ "$bips" -lt "$bfloor" ]; then
 fi
 echo "ci: block ips $bips instrs/sec (baseline $bbase, floor $bfloor)"
 
+# Explorer throughput: every scenario is rebuilt per schedule, so
+# schedules/sec tracks system construction; it must stay within 20% of
+# the committed floor.
+dune exec bench/main.exe -- explore
+srate=$(json_int BENCH_explore.json schedules_per_sec)
+sbase=$(json_int scripts/ips_baseline.json explore_schedules_per_sec)
+sfloor=$((sbase * 80 / 100))
+if [ "$srate" -lt "$sfloor" ]; then
+  echo "ci: explore regression: $srate schedules/sec < 80% of baseline $sbase" >&2
+  exit 1
+fi
+echo "ci: explore $srate schedules/sec (baseline $sbase, floor $sfloor)"
+
 # Fleet smoke: a small fixed-seed fleet on 2 domains must complete
 # (the CLI exits 1 if any machine hits its instruction budget), and a
 # shrunk `bench fleet` must report bit-identical results across

@@ -8,10 +8,15 @@
      exactly the budget and lands on the same architectural state as
      [budget] calls to [Machine.step], for every budget — including
      budgets that stop mid-block;
-   - the invalidation matrix: self-modifying stores, fence.i, sfence
-     (global and per-address), satp switches with no fence, PMP
-     permission revocation, and snapshot restore must all prevent a
-     stale compiled block from executing dead code;
+   - the invalidation matrix: self-modifying stores (including one
+     straddling two pages), fence.i, sfence (global and per-address),
+     satp switches with no fence, PMP permission revocation, and
+     snapshot restore must all prevent a stale compiled block from
+     executing dead code;
+   - cost: no guest-triggerable path (machine construction, a data
+     store, a fence.i) does work or allocation proportional to RAM
+     size — decoded state exists only for pages code was fetched
+     from;
    - determinism: fleet digests are bit-identical with the engine on
      or off, and a trace recorded under the engine replays green
      under the interpreter. *)
@@ -96,14 +101,19 @@ let test_step_count_equivalence () =
 let small_config =
   { Machine.default_config with Machine.ram_size = 64 * 1024; nharts = 1 }
 
-let machine_of_words ?(config = small_config) ?(at = 0) words =
-  let m = Machine.create config in
-  let base = Int64.add config.Machine.ram_base (Int64.of_int at) in
+(* Load instruction words at RAM offset [at]. *)
+let load_words m ~at words =
   let img = Bytes.create (4 * Array.length words) in
   Array.iteri (fun i w -> Bytes.set_int32_le img (4 * i) (Int32.of_int w)) words;
-  Machine.load_program m base img;
+  Machine.load_program m
+    (Int64.add m.Machine.config.Machine.ram_base (Int64.of_int at))
+    img
+
+let machine_of_words ?(config = small_config) ?(at = 0) words =
+  let m = Machine.create config in
+  load_words m ~at words;
   let h = m.Machine.harts.(0) in
-  Hart.reset h ~pc:base;
+  Hart.reset h ~pc:(Int64.add config.Machine.ram_base (Int64.of_int at));
   (m, h)
 
 (* Consume exactly [n] machine steps through the block engine. *)
@@ -199,8 +209,8 @@ let test_selfmod_store_invalidates () =
 (* A hot loop compiles blocks, then a single fence.i falls through to
    a second loop: the flush must count the live blocks as invalidated
    and the second loop must compile fresh.  (A fence.i on every lap
-   would legitimately never compile anything — blocks mirror the
-   icache, and the flush keeps every word cold.) *)
+   would legitimately never compile anything — blocks are built only
+   from decoded words, and the flush drops them all.) *)
 let fence_words =
   [|
     enc (Instr.Op_imm (Instr.Addi, 5, 5, 1L));
@@ -228,6 +238,99 @@ let test_fence_i_flushes () =
   check_fingerprint "fence.i" h hi;
   check_i64 "first loop completed" 20L (Hart.get h 5);
   check_bool "second loop ran" true (Hart.get h 7 >= 10L)
+
+(* ------------------------------------------------------------------ *)
+(* Invalidation: a misaligned store straddling two code pages          *)
+(* ------------------------------------------------------------------ *)
+
+(* Code on three pages: A ends in [addi x5; addi x6; addi x5], B
+   starts with [addi x6; jal C], C loops back to A and, on lap 10,
+   first runs a misaligned 8-byte store over A's last word and B's
+   first word (rewriting the same bits, so execution is unchanged).
+   With hw_misaligned the store is split into byte stores, and each
+   must drop its word and its page's blocks — on both pages — while
+   C's blocks survive. *)
+let xpage_config = { small_config with Machine.hw_misaligned = true }
+let xpage_a = 0x1FF4
+let xpage_b = 0x2000
+let xpage_c = 0x3000
+let xpage_store = 0x1FFC (* 8 bytes: A's last word, B's first *)
+
+let xpage_machine () =
+  let a0 = enc (Instr.Op_imm (Instr.Addi, 5, 5, 1L))
+  and a1 = enc (Instr.Op_imm (Instr.Addi, 6, 6, 1L)) in
+  let m, h =
+    machine_of_words ~config:xpage_config ~at:xpage_a [| a0; a1; a0 |]
+  in
+  load_words m ~at:xpage_b
+    [| a1; enc (Instr.Jal (0, Int64.of_int (xpage_c - xpage_b - 4))) |];
+  load_words m ~at:xpage_c
+    [|
+      enc (Instr.Op_imm (Instr.Addi, 7, 7, 1L));
+      enc (Instr.Branch (Instr.Bne, 7, 8, 8L));
+      enc (Instr.Store { width = Instr.D; rs2 = 13; rs1 = 12; imm = 0L });
+      enc (Instr.Jal (0, Int64.of_int (xpage_a - (xpage_c + 12))));
+    |];
+  Hart.set h 8 10L;
+  Hart.set h 12
+    (Int64.add xpage_config.Machine.ram_base (Int64.of_int xpage_store));
+  Hart.set h 13
+    (Int64.logor (Int64.shift_left (Int64.of_int a1) 32) (Int64.of_int a0));
+  (m, h)
+
+(* Blocks currently live on the page holding RAM offset [off]. *)
+let live_on_page m off =
+  let first = off / 4096 * 1024 in
+  let n = ref 0 in
+  for i = first to first + 1023 do
+    if Block.lookup m.Machine.blocks i <> None then incr n
+  done;
+  !n
+
+let warm m off = Block.word m.Machine.blocks (off / 4) <> None
+
+let test_cross_page_store () =
+  let m, h = xpage_machine () in
+  (* 9 laps of 8 steps, then lap 10 up to the store: A, B, addi, bne *)
+  check_int "steps before the store" 79 (consume_blocks m h 79);
+  check_i64 "parked on the store"
+    (Int64.add xpage_config.Machine.ram_base (Int64.of_int (xpage_c + 8)))
+    h.Hart.pc;
+  let before = Machine.block_stats m in
+  let la = live_on_page m xpage_a
+  and lb = live_on_page m xpage_b
+  and lc = live_on_page m xpage_c in
+  check_bool "blocks live on all three pages" true
+    (la > 0 && lb > 0 && lc > 0);
+  check_bool "stored words decoded" true
+    (warm m xpage_store && warm m (xpage_store + 4));
+  check_int "the store" 1 (consume_blocks m h 1);
+  let after = Machine.block_stats m in
+  check_int "A's and B's blocks invalidated, C's kept" (la + lb)
+    (after.Block.invalidated - before.Block.invalidated);
+  check_int "A holds no blocks" 0 (live_on_page m xpage_a);
+  check_int "B holds no blocks" 0 (live_on_page m xpage_b);
+  check_int "C's blocks still live" lc (live_on_page m xpage_c);
+  check_bool "stored word on A dropped" false (warm m xpage_store);
+  check_bool "stored word on B dropped" false (warm m (xpage_store + 4));
+  check_bool "unstored words on A kept" true (warm m xpage_a);
+  check_int "stores build no page records" 3
+    (Block.populated_pages m.Machine.blocks)
+
+(* The same program in lockstep against the interpreter, compared
+   after every 5-step segment and on final RAM. *)
+let test_cross_page_lockstep () =
+  let mb, hb = xpage_machine () and mi, hi = xpage_machine () in
+  for seg = 1 to 40 do
+    let nb = consume mb hb ~blocks:true 5
+    and ni = consume mi hi ~blocks:false 5 in
+    check_int (Printf.sprintf "seg %d steps" seg) ni nb;
+    check_fingerprint (Printf.sprintf "seg %d" seg) hb hi
+  done;
+  check_i64 "lap counter" 25L (Hart.get hb 7);
+  check_bool "lap 10 stored and the loop went on" true
+    ((Machine.block_stats mb).Block.invalidated > 0);
+  check_i64 "final hashes agree" (Snapshot.hash mi) (Snapshot.hash mb)
 
 (* ------------------------------------------------------------------ *)
 (* Invalidation: Sv39 remaps, satp switches, PMP revocation            *)
@@ -397,6 +500,68 @@ let test_snapshot_restore_drops_blocks () =
      Snapshot.hash mi)
 
 (* ------------------------------------------------------------------ *)
+(* Cost: no O(RAM) work on guest-triggerable paths                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Construction allocates the RAM bytes and a few pages of
+   bookkeeping, not per-word decode tables. The first machine of a
+   process also pays one-time module initialisation, so measure the
+   second. *)
+let test_create_allocation () =
+  let config = Machine.default_config in
+  ignore (Machine.create config);
+  let a0 = Gc.allocated_bytes () in
+  let m = Machine.create config in
+  let a1 = Gc.allocated_bytes () in
+  let bytes = int_of_float (a1 -. a0) in
+  check_bool
+    (Printf.sprintf "create allocated %d bytes for %d of RAM" bytes
+       config.Machine.ram_size)
+    true
+    (bytes <= config.Machine.ram_size + (256 * 1024));
+  check_int "nothing decoded yet" 0 (Block.populated_pages m.Machine.blocks)
+
+(* After the hot loop of [fence_words], the fence.i drops every page
+   record and counts exactly the blocks that were live. *)
+let test_fence_i_drops_pages () =
+  let m, h = machine_of_words ~config:Machine.default_config fence_words in
+  check_int "first loop" 60 (consume_blocks m h 60);
+  let before = Machine.block_stats m in
+  let live = live_on_page m 0 in
+  check_int "live = compiled - invalidated" live
+    (before.Block.compiled - before.Block.invalidated);
+  check_bool "blocks live before the fence" true (live > 0);
+  check_int "one populated page" 1 (Block.populated_pages m.Machine.blocks);
+  check_int "the fence.i" 1 (consume_blocks m h 1);
+  let after = Machine.block_stats m in
+  check_int "no populated pages" 0 (Block.populated_pages m.Machine.blocks);
+  check_int "no blocks left" 0 (live_on_page m 0);
+  check_bool "no decoded words left" false (warm m 0 || warm m 12);
+  check_int "fence.i invalidated exactly the live blocks" live
+    (after.Block.invalidated - before.Block.invalidated)
+
+(* A loop storing to a page nothing was fetched from leaves that page
+   cold, through the guest store path and the verifier's entry point
+   alike. *)
+let test_data_store_stays_cold () =
+  let config = Machine.default_config in
+  let m, h =
+    machine_of_words ~config
+      [|
+        enc (Instr.Store { width = Instr.D; rs2 = 0; rs1 = 12; imm = 0L });
+        enc (Instr.Jal (0, -4L));
+      |]
+  in
+  let data = Int64.add config.Machine.ram_base 0x8000L in
+  Hart.set h 12 data;
+  check_int "steps" 40 (consume_blocks m h 40);
+  check_int "only the code page" 1 (Block.populated_pages m.Machine.blocks);
+  Machine.invalidate_icache m data 8;
+  check_int "still only the code page" 1
+    (Block.populated_pages m.Machine.blocks);
+  check_bool "the loop kept its blocks" true (live_on_page m 0 > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Determinism: fleet digests and cross-engine replay                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -463,11 +628,24 @@ let () =
         [
           Alcotest.test_case "self-modifying store" `Quick
             test_selfmod_store_invalidates;
+          Alcotest.test_case "cross-page misaligned store" `Quick
+            test_cross_page_store;
+          Alcotest.test_case "cross-page store lockstep" `Quick
+            test_cross_page_lockstep;
           Alcotest.test_case "fence.i flushes" `Quick test_fence_i_flushes;
           Alcotest.test_case "sfence/satp/pmp matrix" `Quick
             test_paging_matrix;
           Alcotest.test_case "snapshot restore" `Quick
             test_snapshot_restore_drops_blocks;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "create allocates no per-word state" `Quick
+            test_create_allocation;
+          Alcotest.test_case "fence.i drops every page record" `Quick
+            test_fence_i_drops_pages;
+          Alcotest.test_case "data stores build no page record" `Quick
+            test_data_store_stays_cold;
         ] );
       ( "determinism",
         [

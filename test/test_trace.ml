@@ -252,7 +252,7 @@ let test_checkpoint_restore_and_rewind_replay () =
 let test_checkpoint_paging_workload () =
   (* Checkpoint in the middle of an Sv39 workload, then rewind-replay:
      restore must drop the TLB and fetch-page cache along with the
-     icache, or the resumed run serves translations for the restored
+     decode cache, or the resumed run serves translations for the restored
      page tables from the pre-restore address space and diverges. *)
   let paging_scripts sys =
     [
