@@ -199,36 +199,30 @@ let ips_bench () =
 (* ------------------------------------------------------------------ *)
 
 let fuzz_bench () =
-  print_endline "\nDifferential fuzzing throughput";
-  print_endline "===============================";
-  let max_execs = 50_000 in
-  let r =
-    Mir_fuzz.Fuzzer.run ~seed:Miralis.Config.default_seed ~max_execs ()
-  in
-  let edges = Mir_fuzz.Coverage.edges r.Mir_fuzz.Fuzzer.coverage in
-  Printf.printf "  %d execs in %.2fs: %.0f execs/sec\n"
-    r.Mir_fuzz.Fuzzer.execs r.Mir_fuzz.Fuzzer.seconds
-    r.Mir_fuzz.Fuzzer.execs_per_sec;
-  Printf.printf "  coverage: %d edges, corpus: %d inputs, diverged: %b\n"
-    edges
-    (List.length r.Mir_fuzz.Fuzzer.corpus)
-    (r.Mir_fuzz.Fuzzer.divergence <> None);
-  let curve =
-    String.concat ", "
-      (List.map
-         (fun (execs, e) -> Printf.sprintf "[%d, %d]" execs e)
-         r.Mir_fuzz.Fuzzer.curve)
+  print_endline "\nDifferential fuzzing throughput and coverage";
+  print_endline "============================================";
+  let max_execs = 10_000 in
+  let rows =
+    List.map
+      (fun (module C : Mir_fuzz.Campaign.S) ->
+        let r = C.run ~seed:Miralis.Config.default_seed ~max_execs () in
+        let edges = Mir_fuzz.Coverage.edges r.C.coverage in
+        Printf.printf
+          "  %-7s %6d execs in %6.2fs: %6.0f execs/sec, %4d edges, corpus \
+           %4d, diverged: %b\n%!"
+          C.name r.C.execs r.C.seconds r.C.execs_per_sec edges
+          (List.length r.C.corpus) (r.C.divergence <> None);
+        Printf.sprintf
+          "    {\"dim\": %S, \"execs\": %d, \"seconds\": %.3f, \
+           \"execs_per_sec\": %.0f, \"edges_at_10k\": %d, \"corpus\": %d, \
+           \"diverged\": %b}"
+          C.name r.C.execs r.C.seconds r.C.execs_per_sec edges
+          (List.length r.C.corpus) (r.C.divergence <> None))
+      Mir_fuzz.Dims.all
   in
   let oc = open_out "BENCH_fuzz.json" in
-  Printf.fprintf oc
-    "{\n  \"execs\": %d,\n  \"seconds\": %.3f,\n  \"execs_per_sec\": %.0f,\n  \
-     \"edges\": %d,\n  \"corpus\": %d,\n  \"diverged\": %b,\n  \
-     \"coverage_curve\": [%s]\n}\n"
-    r.Mir_fuzz.Fuzzer.execs r.Mir_fuzz.Fuzzer.seconds
-    r.Mir_fuzz.Fuzzer.execs_per_sec edges
-    (List.length r.Mir_fuzz.Fuzzer.corpus)
-    (r.Mir_fuzz.Fuzzer.divergence <> None)
-    curve;
+  Printf.fprintf oc "{\n  \"seed\": \"0x%Lx\",\n  \"dims\": [\n%s\n  ]\n}\n"
+    Miralis.Config.default_seed (String.concat ",\n" rows);
   close_out oc;
   print_endline "  wrote BENCH_fuzz.json"
 

@@ -350,201 +350,78 @@ let verify_term =
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let fuzz_replay ~inject_bug ~seed path =
-  if not (Sys.file_exists path) then begin
-    Printf.eprintf "miralis-sim: %s: no such file or directory\n" path;
-    exit 2
-  end;
-  let vectors =
-    if Sys.is_directory path then
-      Mir_fuzz.Corpus.load_dir path
-      |> List.filter (fun (name, _) ->
-             (* skip minimized duplicates of full crash vectors *)
-             not (Filename.check_suffix name ".min.jsonl")
-             || not
-                  (Sys.file_exists
-                     (Filename.concat path
-                        (Filename.chop_suffix name ".min.jsonl" ^ ".jsonl"))))
-    else [ (Filename.basename path, Mir_fuzz.Input.load ~path) ]
-  in
-  let bad_parse = ref false in
-  let inputs =
-    List.filter_map
-      (fun (name, r) ->
-        match r with
-        | Ok input -> Some (name, input)
-        | Error msg ->
-            Printf.eprintf "miralis-sim: %s: %s\n" name msg;
-            bad_parse := true;
-            None)
-      vectors
-  in
-  if inputs = [] then begin
-    Printf.eprintf "miralis-sim: no vectors under %s\n" path;
-    exit 2
-  end;
-  let verdict, coverage = Mir_fuzz.Fuzzer.replay ?inject_bug ~seed inputs in
-  Printf.printf "replayed %d vectors, %d coverage edges\n" (List.length inputs)
-    (Mir_fuzz.Coverage.edges coverage);
-  match verdict with
-  | Ok () ->
-      if !bad_parse then exit 2;
-      Printf.printf "all vectors agree\n"
-  | Error (name, idx, reason) ->
-      Printf.printf "DIVERGENCE in %s at op %d:\n  %s\n" name idx reason;
-      if inject_bug <> None then
-        Printf.printf "bug injection DETECTED (as expected)\n"
-      else exit 1
+let fuzz_dims =
+  List.map
+    (fun (module C : Mir_fuzz.Campaign.S) ->
+      (C.name, (module C : Mir_fuzz.Campaign.S)))
+    Mir_fuzz.Dims.all
 
-let pgfuzz_cmd ~seed ~max_execs =
-  Printf.printf "fuzz --paging: seed=0x%Lx max-execs=%d\n" seed max_execs;
-  let r = Mir_fuzz.Pgfuzz.run ~seed ~max_execs () in
-  Printf.printf "%d execs in %.2fs (%.0f/s), %d (op,outcome) edges\n"
-    r.Mir_fuzz.Pgfuzz.execs r.Mir_fuzz.Pgfuzz.seconds
-    r.Mir_fuzz.Pgfuzz.execs_per_sec r.Mir_fuzz.Pgfuzz.edges;
-  match r.Mir_fuzz.Pgfuzz.divergence with
-  | None -> Printf.printf "no divergence found\n"
-  | Some (at, d) ->
-      Printf.printf
-        "DIVERGENCE at exec %d, op %d:\n  op: %s\n  tlb:    %s\n  \
-         walker: %s\nreproduce with: fuzz --paging --seed 0x%Lx \
-         --max-execs %d\n"
-        at d.Mir_verif.Pgdiff.op_index d.Mir_verif.Pgdiff.op
-        d.Mir_verif.Pgdiff.tlb_outcome d.Mir_verif.Pgdiff.walker_outcome
-        seed max_execs;
-      exit 1
+let fuzz_usage msg =
+  Printf.eprintf "miralis-sim: fuzz: %s\n" msg;
+  exit 2
 
-let blockfuzz_cmd ~seed ~max_execs =
-  Printf.printf "fuzz --blocks: seed=0x%Lx max-execs=%d\n" seed max_execs;
-  let r = Mir_fuzz.Blockfuzz.run ~seed ~max_execs () in
-  Printf.printf "%d execs in %.2fs (%.0f/s), %d segment-summary edges\n"
-    r.Mir_fuzz.Blockfuzz.execs r.Mir_fuzz.Blockfuzz.seconds
-    r.Mir_fuzz.Blockfuzz.execs_per_sec r.Mir_fuzz.Blockfuzz.edges;
-  match r.Mir_fuzz.Blockfuzz.divergence with
-  | None -> Printf.printf "no divergence found\n"
-  | Some (at, shrunk, d) ->
-      Format.printf
-        "DIVERGENCE at exec %d, segment %d, field %s:@\n  blocks: %s@\n  \
-         interp: %s@\nshrunk case: %a@\nreproduce with: fuzz --blocks \
-         --seed 0x%Lx --max-execs %d@."
-        at d.Mir_verif.Blockdiff.seg_index d.Mir_verif.Blockdiff.field
-        d.Mir_verif.Blockdiff.blocks_state d.Mir_verif.Blockdiff.interp_state
-        Mir_verif.Blockdiff.pp_case shrunk seed max_execs;
-      let path = Printf.sprintf "blockdiff-%Lx.jsonl" seed in
-      Mir_verif.Blockdiff.save shrunk ~path;
-      Printf.printf "shrunk reproduction written to %s\n" path;
-      exit 1
-
-let acefuzz_replay path =
-  let files =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list
-      |> List.filter (fun f ->
-             String.length f >= 4
-             && String.sub f 0 4 = "ace-"
-             && Filename.check_suffix f ".jsonl")
-      |> List.sort String.compare
-      |> List.map (Filename.concat path)
-    else [ path ]
-  in
-  let failed = ref false in
-  List.iter
-    (fun file ->
-      match Mir_fuzz.Acefuzz.load ~path:file with
-      | Error e ->
-          Printf.printf "%s: %s\n" file e;
-          failed := true
-      | Ok ops -> (
-          match Mir_fuzz.Acefuzz.replay_ops ops with
-          | Ok () -> Printf.printf "%s: %d ops agree\n" file (List.length ops)
-          | Error (idx, reason) ->
-              Printf.printf "DIVERGENCE in %s at op %d:\n  %s\n" file idx
-                reason;
-              failed := true))
-    files;
-  if !failed then exit 1 else Printf.printf "all ace vectors agree\n"
-
-let acefuzz_cmd ~seed ~max_execs ~replay_path ~emit_dir =
-  match (emit_dir, replay_path) with
-  | Some dir, _ ->
-      let paths = Mir_fuzz.Acefuzz.emit ~dir in
-      Printf.printf "wrote %d ace policy vectors to %s\n" (List.length paths)
-        dir
-  | None, Some path -> acefuzz_replay path
-  | None, None -> (
-      Printf.printf "fuzz --policy ace: seed=0x%Lx max-execs=%d\n" seed
-        max_execs;
-      let r = Mir_fuzz.Acefuzz.run ~seed ~max_execs () in
-      Printf.printf "%d execs in %.2fs (%.0f/s), %d (op,outcome) edges\n"
-        r.Mir_fuzz.Acefuzz.execs r.Mir_fuzz.Acefuzz.seconds
-        r.Mir_fuzz.Acefuzz.execs_per_sec r.Mir_fuzz.Acefuzz.edges;
-      match r.Mir_fuzz.Acefuzz.divergence with
-      | None -> Printf.printf "no divergence found\n"
-      | Some (at, d) ->
-          Printf.printf
-            "DIVERGENCE at exec %d, op %d (%s):\n  observed: %s\n  \
-             expected: %s\nreproduce with: fuzz --policy ace --seed 0x%Lx \
-             --max-execs %d\n"
-            at d.Mir_fuzz.Acefuzz.op_index d.Mir_fuzz.Acefuzz.op
-            d.Mir_fuzz.Acefuzz.observed d.Mir_fuzz.Acefuzz.expected seed
-            max_execs;
-          exit 1)
-
-let fuzz_cmd seed max_execs corpus_dir bug replay_path emit_dir paging blocks
-    policy =
+(* One path for every dimension: emit its built-in vectors, replay a
+   vector file or directory, or run a campaign. *)
+let fuzz_cmd seed max_execs corpus_dir bug replay_path emit_dir dim =
+  let (module C : Mir_fuzz.Campaign.S) = List.assoc dim fuzz_dims in
   let inject_bug = parse_bug bug in
-  if policy = "ace" then acefuzz_cmd ~seed ~max_execs ~replay_path ~emit_dir
-  else if policy <> "" then begin
-    Printf.printf "unknown fuzz policy %S (known: ace)\n" policy;
-    exit 2
-  end
-  else if paging then pgfuzz_cmd ~seed ~max_execs
-  else if blocks then blockfuzz_cmd ~seed ~max_execs
-  else
+  let detected () = Printf.printf "bug injection DETECTED (as expected)\n" in
+  if inject_bug <> None && C.name <> Mir_fuzz.Fuzzer.name then
+    fuzz_usage "--inject-bug applies to --dim core only";
   match (emit_dir, replay_path) with
+  | Some _, _ when replay_path <> None || corpus_dir <> None || inject_bug <> None ->
+      fuzz_usage "--emit-vectors takes no --replay, --corpus or --inject-bug"
+  | Some _, _ when C.builtin = [] -> fuzz_usage (C.name ^ " has no built-in vectors")
   | Some dir, _ ->
-      let paths = Mir_fuzz.Vectors.emit ~dir in
-      Printf.printf "wrote %d conformance vectors to %s\n" (List.length paths)
-        dir
-  | None, Some path -> fuzz_replay ~inject_bug ~seed path
-  | None, None ->
-      Printf.printf "fuzz: seed=0x%Lx max-execs=%d%s\n" seed max_execs
-        (match inject_bug with
-        | Some _ -> Printf.sprintf " inject-bug=%s" bug
-        | None -> "");
-      let r =
-        Mir_fuzz.Fuzzer.run ?inject_bug ?corpus_dir ~seed ~max_execs ()
+      let paths = C.emit ~dir in
+      Printf.printf "wrote %d %s vectors to %s\n" (List.length paths) C.name dir
+  | None, Some _ when corpus_dir <> None ->
+      fuzz_usage "--corpus does not apply to --replay"
+  | None, Some path -> (
+      if not (Sys.file_exists path) then
+        fuzz_usage (path ^ ": no such file or directory");
+      let bad_parse = ref false in
+      let cases =
+        List.filter_map
+          (fun (name, r) ->
+            match r with
+            | Ok case -> Some (name, case)
+            | Error msg ->
+                Printf.eprintf "miralis-sim: %s: %s\n" name msg;
+                bad_parse := true;
+                None)
+          (C.load path)
       in
-      List.iter
-        (fun (execs, edges) ->
-          Printf.printf "  after %6d execs: %4d edges\n" execs edges)
-        r.Mir_fuzz.Fuzzer.curve;
-      Printf.printf
-        "%d execs in %.2fs (%.0f/s), %d coverage edges, %d corpus inputs\n"
-        r.Mir_fuzz.Fuzzer.execs r.Mir_fuzz.Fuzzer.seconds
-        r.Mir_fuzz.Fuzzer.execs_per_sec
-        (Mir_fuzz.Coverage.edges r.Mir_fuzz.Fuzzer.coverage)
-        (List.length r.Mir_fuzz.Fuzzer.corpus);
-      (match r.Mir_fuzz.Fuzzer.divergence with
-      | None -> Printf.printf "no divergence found\n"
-      | Some d ->
-          Format.printf
-            "DIVERGENCE after %d execs:@\n  %s@\nfailing input: %a@\n\
-             shrunk to %d ops: %a@\nreproduce with: fuzz --seed 0x%Lx\
-             %s --max-execs %d@."
-            d.Mir_fuzz.Fuzzer.at_exec d.Mir_fuzz.Fuzzer.reason
-            Mir_fuzz.Input.pp d.Mir_fuzz.Fuzzer.input
-            (Mir_fuzz.Input.length d.Mir_fuzz.Fuzzer.shrunk)
-            Mir_fuzz.Input.pp d.Mir_fuzz.Fuzzer.shrunk seed
-            (match inject_bug with
-            | Some _ -> " --inject-bug " ^ bug
-            | None -> "")
-            max_execs;
-          if inject_bug <> None then
-            Printf.printf "bug injection DETECTED (as expected)\n"
-          else exit 1);
-      if inject_bug <> None && r.Mir_fuzz.Fuzzer.divergence = None then
-        Printf.printf "bug injection %s NOT detected: fuzzer gap!\n" bug
+      if cases = [] then fuzz_usage ("no vectors under " ^ path);
+      let verdict, coverage = C.replay ?inject_bug ~seed cases in
+      Printf.printf "replayed %d %s vectors, %d coverage edges\n"
+        (List.length cases) C.name (Mir_fuzz.Coverage.edges coverage);
+      match verdict with
+      | Ok () ->
+          if !bad_parse then exit 2;
+          Printf.printf "all vectors agree\n"
+      | Error (name, idx, reason) ->
+          Printf.printf "DIVERGENCE in %s at op %d:\n  %s\n" name idx reason;
+          if inject_bug <> None then detected () else exit 1)
+  | None, None -> (
+      let bug_flag = if inject_bug = None then "" else " --inject-bug " ^ bug in
+      Printf.printf "fuzz --dim %s: seed=0x%Lx max-execs=%d%s\n" C.name seed
+        max_execs bug_flag;
+      let r = C.run ?inject_bug ?corpus_dir ~seed ~max_execs () in
+      Format.printf "%a@?" C.pp_result r;
+      match r.C.divergence with
+      | None when inject_bug <> None ->
+          Printf.printf "bug injection %s NOT detected: fuzzer gap!\n" bug;
+          exit 1
+      | None -> ()
+      | Some _ ->
+          Printf.printf
+            "reproduce with: fuzz --dim %s --seed 0x%Lx%s --max-execs %d\n"
+            C.name seed bug_flag max_execs;
+          Option.iter
+            (Printf.printf "shrunk reproduction saved as %s/crash-*.min.jsonl\n")
+            corpus_dir;
+          if inject_bug <> None then detected () else exit 1)
 
 let fuzz_term =
   Term.(
@@ -558,8 +435,8 @@ let fuzz_term =
         & opt (some string) None
         & info [ "corpus" ] ~docv:"DIR"
             ~doc:
-              "Persist coverage-increasing inputs, crashes and the \
-               coverage map to $(docv).")
+              "Persist coverage-increasing inputs, crashes (with their \
+               shrunk forms) and the coverage map to $(docv).")
     $ inject_bug_arg
     $ Arg.(
         value
@@ -567,39 +444,22 @@ let fuzz_term =
         & info [ "replay" ] ~docv:"PATH"
             ~doc:
               "Replay a vector file or a directory of vectors instead of \
-               fuzzing; exits non-zero on divergence.")
+               fuzzing; exits 1 on divergence, 2 on a missing path or an \
+               unparsable vector.")
     $ Arg.(
         value
         & opt (some string) None
         & info [ "emit-vectors" ] ~docv:"DIR"
-            ~doc:"Write the built-in conformance vectors to $(docv) and exit.")
+            ~doc:"Write the dimension's built-in vectors to $(docv) and exit.")
     $ Arg.(
-        value & flag
-        & info [ "paging" ]
+        value
+        & opt (enum (List.map (fun (name, _) -> (name, name)) fuzz_dims)) "core"
+        & info [ "dim" ] ~docv:"DIM"
             ~doc:
-              "Fuzz the paging fast path instead: differential streams of \
-               page-table edits, satp switches, fences, SUM/MXR/MPRV flips \
-               and PMP reconfigurations, TLB machine vs raw-walker machine. \
-               Exits non-zero on divergence.")
-    $ Arg.(
-        value & flag
-        & info [ "blocks" ]
-            ~doc:
-              "Fuzz the decoded basic-block engine instead: generated guest \
-               programs (tight loops, mid-block traps, self-modifying code, \
-               vm-epoch-bumping CSR writes) executed through the block \
-               engine against the per-instruction interpreter in lockstep. \
-               Exits non-zero on divergence, after shrinking.")
-    $ Arg.(
-        value & opt string ""
-        & info [ "policy" ] ~docv:"POLICY"
-            ~doc:
-              "Fuzz an isolation policy instead: $(b,ace) drives COVH calls \
-               (tsm_info/promote/run_vcpu/destroy) interleaved with teecalls \
-               and interrupts against a model of the confidential-VM \
-               steal/return contract. Combines with $(b,--replay) and \
-               $(b,--emit-vectors) for the ace-*.jsonl vector family. Exits \
-               non-zero on divergence."))
+              "Differential dimension: $(b,core) (VFM emulator vs reference \
+               machine), $(b,paging) (TLB machine vs raw-walker machine), \
+               $(b,blocks) (basic-block engine vs interpreter) or $(b,ace) \
+               (ACE policy vs its steal/return model)."))
 
 (* ------------------------------------------------------------------ *)
 (* explore                                                             *)
@@ -1019,8 +879,8 @@ let cmds =
     Cmd.v
       (Cmd.info "fuzz"
          ~doc:
-           "Coverage-guided differential fuzzing of the VFM emulator \
-            against the reference machine")
+           "Coverage-guided differential fuzzing: one campaign engine over \
+            the core, paging, blocks and ace dimensions")
       fuzz_term;
     Cmd.v
       (Cmd.info "explore"

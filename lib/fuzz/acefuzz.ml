@@ -17,9 +17,9 @@
    cvm-confidential oracle.
 
    Generation is deterministic from the root seed via the config-rooted
-   PRNG streams, and an (op class x outcome class) edge map tracks
-   behavioural coverage. Vectors serialize to JSONL ([ace-*.jsonl] in
-   test/vectors/) and replay through [replay_ops]. *)
+   PRNG streams, and (op class x outcome class) edges track
+   behavioural coverage. Vectors are name-plus-int64-args lines
+   ([Oplist]) under test/vectors/ace/. *)
 
 module Prng = Mir_util.Prng
 module Machine = Mir_rv.Machine
@@ -309,7 +309,7 @@ let harness_create () =
 
 let marker id = Int64.logor 0x4143_4500_0000_0000L (Int64.of_int id)
 
-type divergence = {
+type report = {
   op_index : int;
   op : string;
   observed : string;
@@ -579,128 +579,32 @@ let gen_ops prng =
   List.init n (fun _ -> gen_op prng)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign                                                            *)
+(* Vectors: one name-plus-int64-args line per op                       *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;  (** distinct (op class, outcome class) pairs seen *)
-  divergence : (int * divergence) option;
-      (** (execution index, divergence) *)
-}
+let op_names =
+  [ "tsm_info"; "promote"; "run"; "teecall"; "destroy"; "interrupt" ]
 
-let run ~seed ~max_execs () =
-  let prng = Config.derive seed "acefuzz/gen" in
-  let edges = Hashtbl.create 64 in
-  let on_outcome _i op cls = Hashtbl.replace edges (op_class op, cls) () in
-  let t0 = Sys.time () in
-  let divergence = ref None in
-  let execs = ref 0 in
-  while !execs < max_execs && !divergence = None do
-    let ops = gen_ops prng in
-    let t = harness_create () in
-    (match exec_ops ~on_outcome t ops with
-    | Some d -> divergence := Some (!execs, d)
-    | None -> ());
-    incr execs
-  done;
-  let seconds = Sys.time () -. t0 in
+let to_line op =
+  let a1, a2 =
+    match op with Promote { size; entry; _ } -> (size, entry) | _ -> (0L, 0L)
+  in
   {
-    execs = !execs;
-    seconds;
-    execs_per_sec =
-      (if seconds > 0. then float_of_int !execs /. seconds else 0.);
-    edges = Hashtbl.length edges;
-    divergence = !divergence;
+    Oplist.op = List.nth op_names (op_class op);
+    h = op_hart op;
+    args = [ staged_a0 op; a1; a2 ];
   }
 
-let replay_ops ops =
-  let t = harness_create () in
-  match exec_ops t ops with
-  | None -> Ok ()
-  | Some d ->
-      Error
-        ( d.op_index,
-          Printf.sprintf "%s: observed %s, expected %s" d.op d.observed
-            d.expected )
-
-(* ------------------------------------------------------------------ *)
-(* JSONL vectors                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let op_name = function
-  | Tsm_info _ -> "tsm_info"
-  | Promote _ -> "promote"
-  | Run _ -> "run"
-  | Teecall _ -> "teecall"
-  | Destroy _ -> "destroy"
-  | Interrupt _ -> "interrupt"
-
-let to_jsonl ops =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"ace\":1,\"v\":1}\n";
-  List.iter
-    (fun op ->
-      let a1, a2 =
-        match op with
-        | Promote { size; entry; _ } -> (size, entry)
-        | _ -> (0L, 0L)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"op\":\"%s\",\"h\":%d,\"a0\":\"0x%Lx\",\"a1\":\"0x%Lx\",\"a2\":\"0x%Lx\"}\n"
-           (op_name op) (op_hart op) (staged_a0 op) a1 a2);
-      ())
-    ops;
-  Buffer.contents buf
-
-let op_of_line line =
-  try
-    Scanf.sscanf line "{\"op\":%S,\"h\":%d,\"a0\":%S,\"a1\":%S,\"a2\":%S}"
-      (fun name hart a0 a1 a2 ->
-        let a0 = Int64.of_string a0
-        and a1 = Int64.of_string a1
-        and a2 = Int64.of_string a2 in
-        match name with
-        | "tsm_info" -> Ok (Tsm_info { hart })
-        | "promote" -> Ok (Promote { hart; base = a0; size = a1; entry = a2 })
-        | "run" -> Ok (Run { hart; id = Int64.to_int a0 })
-        | "teecall" -> Ok (Teecall { hart; value = a0 })
-        | "destroy" -> Ok (Destroy { hart; id = Int64.to_int a0 })
-        | "interrupt" -> Ok (Interrupt { hart; delta = a0 })
-        | _ -> Error (Printf.sprintf "unknown ace op %S" name))
-  with Scanf.Scan_failure _ | End_of_file | Failure _ ->
-    Error (Printf.sprintf "malformed ace vector line %S" line)
-
-let of_jsonl s =
-  match String.split_on_char '\n' s |> List.filter (fun l -> l <> "") with
-  | [] -> Error "empty ace vector"
-  | header :: rest ->
-      if String.length header < 8 || String.sub header 0 8 <> "{\"ace\":1" then
-        Error (Printf.sprintf "not an ace vector header: %S" header)
-      else
-        List.fold_left
-          (fun acc line ->
-            match (acc, op_of_line line) with
-            | Error _, _ -> acc
-            | _, Error e -> Error e
-            | Ok ops, Ok op -> Ok (op :: ops))
-          (Ok []) rest
-        |> Result.map List.rev
-
-let save ops ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl ops))
-
-let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_jsonl (really_input_string ic (in_channel_length ic)))
+let of_line { Oplist.op; h = hart; args } =
+  match (op, args) with
+  | _ when hart < 0 || hart >= nharts -> None
+  | "tsm_info", [ _; _; _ ] -> Some (Tsm_info { hart })
+  | "promote", [ base; size; entry ] -> Some (Promote { hart; base; size; entry })
+  | "run", [ id; _; _ ] -> Some (Run { hart; id = Int64.to_int id })
+  | "teecall", [ value; _; _ ] -> Some (Teecall { hart; value })
+  | "destroy", [ id; _; _ ] -> Some (Destroy { hart; id = Int64.to_int id })
+  | "interrupt", [ delta; _; _ ] -> Some (Interrupt { hart; delta })
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Built-in conformance vectors                                        *)
@@ -773,11 +677,43 @@ let builtin =
       ] );
   ]
 
-let emit ~dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.map
-    (fun (name, ops) ->
-      let path = Filename.concat dir (Printf.sprintf "ace-%s.jsonl" name) in
-      save ops ~path;
-      path)
-    builtin
+(* ------------------------------------------------------------------ *)
+(* The dimension                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One fresh harness per execution: the policy state is the input. *)
+let exec () ops =
+  let edges = ref [] in
+  let on_outcome _ op cls = edges := ((op_class op * 8) + cls) :: !edges in
+  let failure =
+    Option.map
+      (fun d ->
+        ( d.op_index,
+          Printf.sprintf "%s: observed %s, expected %s" d.op d.observed
+            d.expected ))
+      (exec_ops ~on_outcome (harness_create ()) ops)
+  in
+  { Campaign.failure; edges = !edges }
+
+include Campaign.Make (struct
+  type case = op list
+  type ctx = unit
+
+  let name = "ace"
+  let create ?inject_bug ~seed:_ () = Campaign.no_bug name inject_bug
+  let gen () = gen_ops
+
+  let mutate () prng ~other ops =
+    let gen_op () = gen_op prng in
+    match Oplist.mutate ~gen_op ~max_len:64 prng ~other ops with
+    | `Reseed -> gen_ops prng
+    | `Ops ops -> ops
+
+  let exec = exec
+  let shrink () = Shrink.ops (exec ())
+  let size = List.length
+  let pp fmt ops = List.iter (fun op -> Format.fprintf fmt "@\n  %s" (pp_op op)) ops
+  let to_jsonl = Oplist.to_jsonl ~family:name to_line
+  let of_jsonl = Oplist.of_jsonl ~family:name of_line
+  let builtin = builtin
+end)

@@ -1,4 +1,4 @@
-(** ACE/COVH policy op class for the differential fuzzer.
+(** The ACE/COVH policy fuzz dimension.
 
     Drives the ACE confidential-VM policy hooks white-box — staged
     COVH ecalls (tsm_info / promote / run_vcpu / destroy), voluntary
@@ -7,7 +7,8 @@
     observable is predicted and compared: the SBI return pair, the
     resumed pc and privilege, per-CVM PMP confidentiality from every
     hart, the medeleg swap, scrub-on-destroy and the steal/return
-    counters. Vectors serialize to JSONL ([ace-*.jsonl]). *)
+    counters. Vectors are {!Oplist} lines under a [{"ace":1,"v":1}]
+    header. *)
 
 type op =
   | Tsm_info of { hart : int }
@@ -24,40 +25,6 @@ type op =
 
 val pp_op : op -> string
 
-type divergence = {
-  op_index : int;
-  op : string;
-  observed : string;
-  expected : string;
-}
-
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;  (** distinct (op class, outcome class) pairs seen *)
-  divergence : (int * divergence) option;
-      (** (execution index, divergence) *)
-}
-
-val run : seed:int64 -> max_execs:int -> unit -> result
-(** Deterministic campaign: generated op streams, one fresh harness
-    per execution, stops at the first divergence. *)
-
-val replay_ops : op list -> (unit, int * string) Stdlib.result
-(** Run one vector on a fresh harness; [Error (op_index, reason)] on
-    divergence. *)
-
-val to_jsonl : op list -> string
-val of_jsonl : string -> (op list, string) Stdlib.result
-val save : op list -> path:string -> unit
-val load : path:string -> (op list, string) Stdlib.result
-
-val builtin : (string * op list) list
-(** The named conformance vectors behind [emit]: lifecycle, overlap
-    rejection, malformed promotes, interrupt/resume, cross-hart steal
-    and destroy-while-running. *)
-
-val emit : dir:string -> string list
-(** Write the built-in vectors to [dir] as [ace-<name>.jsonl]; returns
-    the paths. *)
+include Campaign.S with type case = op list
+(** [builtin]: lifecycle, overlap rejection, malformed promotes,
+    interrupt/resume, cross-hart steal and destroy-while-running. *)

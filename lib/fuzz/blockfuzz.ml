@@ -1,10 +1,10 @@
-(* Block-engine differential fuzzer.
+(* The block-engine dimension.
 
    Generates adversarial guest programs for [Mir_verif.Blockdiff]: the
    decoded basic-block engine against the per-instruction interpreter
-   over the same lockstep schedule.  Where pgfuzz streams *paging
-   operations* at a machine pair, this class streams *code* — the
-   block engine's attack surface is program shape, so generation
+   over the same lockstep schedule.  Where the paging dimension streams
+   *paging operations* at a machine pair, this one streams *code* —
+   the block engine's attack surface is program shape, so generation
    leans on exactly the structures the engine optimizes:
 
      - long pure ALU runs (batched bookkeeping, pc materialization);
@@ -22,12 +22,10 @@
 
    WFI is deliberately not generated: with interrupts masked it
    would idle away the step budget without exercising anything.
-   Generation is deterministic from the root seed via the same
-   config-rooted PRNG streams as everything else; a coarse edge map
-   over block-side segment summaries (pc region x privilege x mcause
-   x wfi) shows a campaign actually reached traps, privilege drops
-   and out-of-window excursions.  Divergences are shrunk by NOP
-   substitution plus segment truncation before being reported, so a
+   Edges are block-side segment summaries (pc region x privilege x
+   mcause x wfi), which show a campaign actually reached traps,
+   privilege drops and out-of-window excursions.  Divergences are
+   shrunk by segment truncation plus NOP substitution, so a
    reproduction vector is close to minimal. *)
 
 module Prng = Mir_util.Prng
@@ -271,84 +269,26 @@ let nop = Encode.encode (Instr.Op_imm (Instr.Addi, 0, 0, 0L))
    ran) followed by one NOP-substitution pass over the code; each
    candidate is re-run on a fresh pair, so the result is a standalone
    reproduction. *)
-let shrink (case : Blockdiff.case) (d : Blockdiff.divergence) =
-  let best = ref case and bestd = ref d in
-  (if d.Blockdiff.seg_index >= 0
-      && d.Blockdiff.seg_index + 1 < Array.length case.Blockdiff.segs
-   then
-     let cand =
-       {
-         case with
-         Blockdiff.segs =
-           Array.sub case.Blockdiff.segs 0 (d.Blockdiff.seg_index + 1);
-       }
-     in
-     match Blockdiff.run_case cand with
-     | Some d' ->
-         best := cand;
-         bestd := d'
-     | None -> ());
-  let nwords = Array.length !best.Blockdiff.words in
-  for i = 0 to nwords - 1 do
-    if !best.Blockdiff.words.(i) <> nop then begin
-      let words = Array.copy !best.Blockdiff.words in
-      words.(i) <- nop;
-      let cand = { !best with Blockdiff.words } in
-      match Blockdiff.run_case cand with
-      | Some d' ->
-          best := cand;
-          bestd := d'
-      | None -> ()
-    end
-  done;
-  (!best, !bestd)
-
-(* ------------------------------------------------------------------ *)
-(* Campaign                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let priv_class = function Priv.U -> 0 | Priv.S -> 1 | Priv.M -> 2
-
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;
-  divergence : (int * Blockdiff.case * Blockdiff.divergence) option;
-}
-
-let run ~seed ~max_execs () =
-  let prng = Miralis.Config.derive seed "blockfuzz/gen" in
-  let edges = Hashtbl.create 64 in
-  let on_segment _i (v : Blockdiff.seg_view) =
-    Hashtbl.replace edges
-      ( v.Blockdiff.region,
-        priv_class v.Blockdiff.priv,
-        Int64.to_int v.Blockdiff.cause land 31,
-        v.Blockdiff.wfi )
-      ()
+let shrink (case : Blockdiff.case) =
+  let fails c = Blockdiff.run_case c <> None in
+  let case =
+    match Blockdiff.run_case case with
+    | Some { Blockdiff.seg_index = i; _ }
+      when i >= 0 && i + 1 < Array.length case.Blockdiff.segs ->
+        let cand = { case with Blockdiff.segs = Array.sub case.Blockdiff.segs 0 (i + 1) } in
+        if fails cand then cand else case
+    | _ -> case
   in
-  let t0 = Sys.time () in
-  let divergence = ref None in
-  let execs = ref 0 in
-  while !execs < max_execs && !divergence = None do
-    let case = gen_case prng in
-    (match Blockdiff.run_case ~on_segment case with
-    | Some d ->
-        let shrunk, d' = shrink case d in
-        divergence := Some (!execs, shrunk, d')
-    | None -> ());
-    incr execs
-  done;
-  let seconds = Sys.time () -. t0 in
-  {
-    execs = !execs;
-    seconds;
-    execs_per_sec =
-      (if seconds > 0. then float_of_int !execs /. seconds else 0.);
-    edges = Hashtbl.length edges;
-    divergence = !divergence;
-  }
+  let words = Array.copy case.Blockdiff.words in
+  Array.iteri
+    (fun i w ->
+      if w <> nop then begin
+        words.(i) <- nop;
+        if not (fails { case with Blockdiff.words = Array.copy words }) then
+          words.(i) <- w
+      end)
+    case.Blockdiff.words;
+  { case with Blockdiff.words }
 
 (* ------------------------------------------------------------------ *)
 (* Checked-in regression vectors                                       *)
@@ -357,14 +297,14 @@ let run ~seed ~max_execs () =
 (* A spread of generated cases under fixed seeds, plus two hand-built
    shapes generation only rarely concentrates: a dense self-modifying
    loop and a pure spin loop sliced by 1-step segments.  Emitted to
-   test/vectors/ as block-*.jsonl; dune runtest replays each one and
-   requires the engine to match the interpreter exactly. *)
-let builtin () =
+   test/vectors/blocks/; dune runtest replays each one and requires
+   the engine to match the interpreter exactly. *)
+let builtin =
   let generated =
     List.map
       (fun seed ->
         let prng = Miralis.Config.derive seed "blockfuzz/gen" in
-        (Printf.sprintf "block-gen-%Lx" seed, gen_case prng))
+        (Printf.sprintf "gen-%Lx" seed, gen_case prng))
       [ 0xB10C1L; 0xB10C2L; 0xB10C3L; 0xB10C4L; 0xB10C5L; 0xB10C6L ]
   in
   let enc = Encode.encode in
@@ -411,13 +351,60 @@ let builtin () =
       segs = [| 1; 1; 1; 1; 1; 1; 1; 2; 3; 5; 48; 64; 63; 33 |];
     }
   in
-  generated @ [ ("block-selfmod", selfmod); ("block-spin", spin) ]
+  generated @ [ ("selfmod", selfmod); ("spin", spin) ]
 
-let emit ~dir =
-  Corpus.ensure_dir dir;
-  List.map
-    (fun (name, case) ->
-      let path = Filename.concat dir (name ^ ".jsonl") in
-      Blockdiff.save case ~path;
-      path)
-    (builtin ())
+(* ------------------------------------------------------------------ *)
+(* The dimension                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let priv_class = function Priv.U -> 0 | Priv.S -> 1 | Priv.M -> 2
+
+let exec () case =
+  let edges = ref [] in
+  let on_segment _ (v : Blockdiff.seg_view) =
+    let cause = Int64.to_int v.Blockdiff.cause land 31 in
+    let site = (v.Blockdiff.region * 3) + priv_class v.Blockdiff.priv in
+    edges := ((((site * 32) + cause) * 2) + Bool.to_int v.Blockdiff.wfi) :: !edges
+  in
+  let failure =
+    Option.map
+      (fun (d : Blockdiff.divergence) ->
+        ( d.Blockdiff.seg_index,
+          Printf.sprintf "%s: blocks %s, interp %s" d.Blockdiff.field
+            d.Blockdiff.blocks_state d.Blockdiff.interp_state ))
+      (Blockdiff.run_case ~on_segment case)
+  in
+  { Campaign.failure; edges = !edges }
+
+include Campaign.Make (struct
+  type case = Blockdiff.case
+  type ctx = unit
+
+  let name = "blocks"
+  let create ?inject_bug ~seed:_ () = Campaign.no_bug name inject_bug
+  let gen () = gen_case
+
+  (* Half fresh programs — generation alone reaches most segment
+     summaries — and half havoc over the code words. *)
+  let mutate () prng ~other (c : case) =
+    let n = Array.length c.Blockdiff.words in
+    let gen_op () = Encode.encode (gen_instr prng (Prng.int_below prng n) n) in
+    if Prng.bool prng then gen_case prng
+    else
+      match
+        (* slice duplication may overshoot max_len by 3 *)
+        Oplist.mutate ~gen_op ~max_len:(Blockdiff.max_words - 3) prng
+          ~other:(fun () -> Array.to_list (other ()).Blockdiff.words)
+          (Array.to_list c.Blockdiff.words)
+      with
+      | `Reseed -> gen_case prng
+      | `Ops ws -> { c with Blockdiff.words = Array.of_list ws }
+
+  let exec = exec
+  let shrink () = shrink
+  let size c = Array.length c.Blockdiff.words
+  let pp = Blockdiff.pp_case
+  let to_jsonl = Blockdiff.to_jsonl
+  let of_jsonl = Blockdiff.of_jsonl
+  let builtin = builtin
+end)

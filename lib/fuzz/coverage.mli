@@ -1,5 +1,6 @@
-(** Edge-coverage map: (instruction class x outcome x trap cause) hit
-    counts with AFL-style bucketing, driving mutation scheduling. *)
+(** Edge-coverage map: hit counts per edge id with AFL-style bucketing,
+    driving corpus growth in every fuzz dimension. Each dimension packs
+    its own edge tuple into an id; {!edge} is the core dimension's. *)
 
 type t
 
@@ -7,17 +8,15 @@ val size : int
 (** Number of buckets in the map. *)
 
 val create : unit -> t
-val copy : t -> t
-val clear : t -> unit
 
 val edge : cls:int -> tag:int -> cause:int -> int
-(** Stable index of the (instruction class, outcome tag, cause) edge. *)
+(** Stable index of the core (instruction class, outcome tag, cause)
+    edge. *)
 
 val add : t -> int -> bool
 (** Record a hit; [true] iff the edge is new or its count crossed a
     power-of-two-ish bucket — the "interesting input" signal. *)
 
-val hit : t -> int -> bool
 val edges : t -> int
 (** Number of distinct edges seen (nonzero buckets). *)
 

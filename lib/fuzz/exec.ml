@@ -6,13 +6,9 @@ module Csr_addr = Mir_rv.Csr_addr
    the reference machine and the VFM emulator, compared step by step
    with the lib/trace digest oracle (see Mir_verif.Diff stream API). *)
 
-type t = { diff : Diff.t; config : Miralis.Config.t }
-
-let create ?inject_bug ?seed () =
-  let diff = Diff.create ?inject_bug ?seed () in
-  { diff; config = Diff.config diff }
-
-let config t = t.config
+(* The executor state is the [Diff] checker itself; [create] is its
+   constructor under the executor's name, next to [run]/[diverges]. *)
+let create = Diff.create
 
 (* ------------------------------------------------------------------ *)
 (* Coverage-edge classification                                        *)
@@ -67,48 +63,28 @@ let edge_of op step =
 (* Running one input                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  divergence : (int * string) option;
-      (** index of the diverging op and the named mismatch *)
-  ops_run : int;
-  interesting : bool;
-      (** the input produced new coverage (when a map was given) *)
-}
-
 let state_prng (input : Input.t) =
   Miralis.Config.derive input.Input.seed "fuzz:state"
 
-let run ?coverage t (input : Input.t) =
-  let sample = Diff.gen_sample t.diff (state_prng input) in
-  Diff.stream_begin t.diff sample;
-  let divergence = ref None in
-  let interesting = ref false in
-  let ops_run = ref 0 in
-  let note op step =
-    (match coverage with
-    | Some map -> if Coverage.add map (edge_of op step) then interesting := true
-    | None -> ());
-    match step.Diff.verdict with
-    | Diff.Agree | Diff.Skip -> true
-    | Diff.Disagree msg ->
-        divergence := Some (!ops_run, msg);
-        false
-  in
-  let rec go = function
-    | [] -> ()
-    | op :: rest ->
+(* Run until the first disagreement, recording one edge per op run. *)
+let run t (input : Input.t) =
+  let sample = Diff.gen_sample t (state_prng input) in
+  Diff.stream_begin t sample;
+  let rec go i edges = function
+    | [] -> { Campaign.failure = None; edges }
+    | op :: rest -> (
         let step =
           match op with
-          | Input.Op_instr i -> Diff.stream_step t.diff i
+          | Input.Op_instr instr -> Diff.stream_step t instr
           | Input.Op_lines { mtip; msip; meip } ->
-              Diff.set_lines t.diff ~mtip ~msip ~meip;
+              Diff.set_lines t ~mtip ~msip ~meip;
               { Diff.verdict = Diff.Agree; outcome = Diff.O_next }
         in
-        let ok = note op step in
-        incr ops_run;
-        if ok then go rest
+        let edges = edge_of op step :: edges in
+        match step.Diff.verdict with
+        | Diff.Agree | Diff.Skip -> go (i + 1) edges rest
+        | Diff.Disagree msg -> { Campaign.failure = Some (i, msg); edges })
   in
-  go input.Input.ops;
-  { divergence = !divergence; ops_run = !ops_run; interesting = !interesting }
+  go 0 [] input.Input.ops
 
-let diverges t input = (run t input).divergence <> None
+let diverges t input = (run t input).Campaign.failure <> None

@@ -3,30 +3,16 @@
     virtual configuration) and the VFM emulator, comparing the
     post-state digests after every operation. *)
 
-type t
-
 val create :
-  ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit -> t
-(** [seed] roots the configuration (and so the derived PRNG streams);
-    [inject_bug] plants one of the §6.5 emulator bug classes, used by
-    the tests to prove the fuzzer catches and shrinks real bugs. *)
+  ?inject_bug:Miralis.Config.bug -> ?seed:int64 -> unit -> Mir_verif.Diff.t
+(** {!Mir_verif.Diff.create}: [seed] roots the configuration (and so
+    the derived PRNG streams); [inject_bug] plants one of the §6.5
+    emulator bug classes, used by the tests to prove the fuzzer catches
+    and shrinks real bugs. *)
 
-val config : t -> Miralis.Config.t
+val run : Mir_verif.Diff.t -> Input.t -> Campaign.verdict
+(** Execute the input from its regenerated initial state, stopping at
+    the first divergence; one (op class x outcome x cause) edge per op
+    run. *)
 
-val op_class : Input.op -> int
-(** Coverage class of an operation (CSR group x op, xRET, WFI, ...). *)
-
-type result = {
-  divergence : (int * string) option;
-      (** index of the diverging op and the named mismatch *)
-  ops_run : int;
-  interesting : bool;
-      (** the input produced new coverage (when a map was given) *)
-}
-
-val run : ?coverage:Coverage.t -> t -> Input.t -> result
-(** Execute the input from its regenerated initial state. Stops at the
-    first divergence. When [coverage] is given, (op class x outcome x
-    cause) edges are recorded into it. *)
-
-val diverges : t -> Input.t -> bool
+val diverges : Mir_verif.Diff.t -> Input.t -> bool

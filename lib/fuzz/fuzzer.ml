@@ -1,130 +1,56 @@
+module Diff = Mir_verif.Diff
+module Instr = Mir_rv.Instr
 module Prng = Mir_util.Prng
 
-(* The coverage-guided campaign loop. Everything that affects corpus
-   content — generation, scheduling, mutation — draws from PRNG
-   streams derived from the root seed, so two campaigns with the same
-   seed and exec budget produce byte-identical corpora and coverage
-   maps. Wall time is measured but only reported. *)
+(* The core dimension: privileged-instruction streams through the VFM
+   emulator against the reference machine (see [Exec]), generated by
+   the [Gen] grammar, with [Vectors] as the built-in conformance
+   suite. *)
 
-type divergence = {
-  input : Input.t;  (** the diverging input, as found *)
-  shrunk : Input.t;  (** minimized reproduction *)
-  reason : string;  (** named first architectural mismatch *)
-  at_exec : int;  (** execution count when found *)
-}
+(* Candidate simplifications of one op, most aggressive first. *)
+let simpler_ops = function
+  | Input.Op_instr (Instr.Csr { op; rd; src; csr }) ->
+      (if rd <> 0 then [ Input.Op_instr (Instr.Csr { op; rd = 0; src; csr }) ]
+       else [])
+      @ (match src with
+        | Instr.Imm 0 -> []
+        | _ -> [ Input.Op_instr (Instr.Csr { op; rd; src = Instr.Imm 0; csr }) ])
+  | Input.Op_instr (Instr.Sfence_vma (rs1, rs2)) when rs1 <> 0 || rs2 <> 0 ->
+      [ Input.Op_instr (Instr.Sfence_vma (0, 0)) ]
+  | Input.Op_lines { mtip; msip; meip } when mtip || msip || meip ->
+      [ Input.Op_lines { mtip = false; msip = false; meip = false } ]
+  | _ -> []
 
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  coverage : Coverage.t;
-  corpus : Input.t list;  (** coverage-increasing inputs, discovery order *)
-  curve : (int * int) list;  (** (execs, distinct edges) samples *)
-  divergence : divergence option;
-}
+(* [Shrink.ops], then a per-op simplification pass; every kept
+   candidate still diverges. *)
+let shrink exec (input : Input.t) =
+  let run ops = Exec.run exec { input with Input.ops } in
+  let fails ops = ops <> [] && (run ops).Campaign.failure <> None in
+  let rec simplify i ops =
+    if i >= List.length ops then ops
+    else
+      let with_op op = List.mapi (fun j o -> if j = i then op else o) ops in
+      let simpler = simpler_ops (List.nth ops i) in
+      match List.find_opt (fun op -> fails (with_op op)) simpler with
+      | Some op -> simplify (i + 1) (with_op op)
+      | None -> simplify (i + 1) ops
+  in
+  { input with Input.ops = simplify 0 (Shrink.ops run input.Input.ops) }
 
-let seed_count = 16
+include Campaign.Make (struct
+  type case = Input.t
+  type ctx = Diff.t
 
-let run ?inject_bug ?corpus_dir ?(initial = []) ?progress ~seed ~max_execs () =
-  let t0 = Sys.time () in
-  let exec = Exec.create ?inject_bug ~seed () in
-  let config = Exec.config exec in
-  let gen_prng = Miralis.Config.derive seed "fuzz:gen" in
-  let sched_prng = Miralis.Config.derive seed "fuzz:sched" in
-  let coverage = Coverage.create () in
-  let corpus = ref [||] in
-  let push input = corpus := Array.append !corpus [| input |] in
-  let execs = ref 0 in
-  let curve = ref [] in
-  let divergence = ref None in
-  let stride = max 1 (max_execs / 20) in
-  let sample_curve () =
-    if !execs mod stride = 0 || !execs = max_execs then begin
-      curve := (!execs, Coverage.edges coverage) :: !curve;
-      match progress with
-      | Some f -> f !execs coverage
-      | None -> ()
-    end
-  in
-  (* Seed phase: replay any provided vectors, then fresh grammar
-     streams. The very first input always lands new edges, so the
-     corpus is never empty when mutation starts. *)
-  let seeds =
-    initial
-    @ List.init seed_count (fun _ ->
-          Gen.fresh config gen_prng ~len:(4 + Prng.int_below gen_prng 37))
-  in
-  let seeds = ref seeds in
-  let next_candidate () =
-    match !seeds with
-    | s :: rest ->
-        seeds := rest;
-        s
-    | [] ->
-        (* max of two draws biases parents toward recent discoveries *)
-        let n = Array.length !corpus in
-        let i = Prng.int_below sched_prng n
-        and j = Prng.int_below sched_prng n in
-        let parent = !corpus.(max i j) in
-        Gen.mutate config sched_prng ~corpus:!corpus parent
-  in
-  while !execs < max_execs && !divergence = None do
-    let cand = next_candidate () in
-    let r = Exec.run ~coverage exec cand in
-    incr execs;
-    if r.Exec.interesting then push cand;
-    (match r.Exec.divergence with
-    | Some (_, reason) ->
-        let shrunk = Shrink.shrink exec cand in
-        let reason =
-          match (Exec.run exec shrunk).Exec.divergence with
-          | Some (_, msg) -> msg
-          | None -> reason
-        in
-        divergence := Some { input = cand; shrunk; reason; at_exec = !execs }
-    | None -> ());
-    sample_curve ()
-  done;
-  if !curve = [] || fst (List.hd !curve) <> !execs then
-    curve := (!execs, Coverage.edges coverage) :: !curve;
-  let seconds = Sys.time () -. t0 in
-  let result =
-    {
-      execs = !execs;
-      seconds;
-      execs_per_sec =
-        (if seconds > 0. then float_of_int !execs /. seconds else 0.);
-      coverage;
-      corpus = Array.to_list !corpus;
-      curve = List.rev !curve;
-      divergence = !divergence;
-    }
-  in
-  (match corpus_dir with
-  | None -> ()
-  | Some dir ->
-      Corpus.ensure_dir dir;
-      List.iter
-        (fun input -> ignore (Corpus.save_input ~dir ~prefix:"cov" input))
-        result.corpus;
-      ignore (Corpus.save_coverage ~dir coverage);
-      (match result.divergence with
-      | Some d ->
-          ignore (Corpus.save_input ~dir ~prefix:"crash" d.input);
-          ignore (Corpus.save_min ~dir d.shrunk)
-      | None -> ()));
-  result
-
-(* Replay a set of vectors (conformance suite / saved corpus) without
-   mutation: report the first divergence, if any. *)
-let replay ?inject_bug ~seed inputs =
-  let exec = Exec.create ?inject_bug ~seed () in
-  let coverage = Coverage.create () in
-  let rec go = function
-    | [] -> (Ok (), coverage)
-    | (name, input) :: rest -> (
-        match (Exec.run ~coverage exec input).Exec.divergence with
-        | Some (idx, msg) -> (Error (name, idx, msg), coverage)
-        | None -> go rest)
-  in
-  go inputs
+  let name = "core"
+  let create ?inject_bug ~seed () = Diff.create ?inject_bug ~seed ()
+  let gen exec prng =
+    Gen.fresh (Diff.config exec) prng ~len:(4 + Prng.int_below prng 37)
+  let mutate exec = Gen.mutate (Diff.config exec)
+  let exec = Exec.run
+  let shrink = shrink
+  let size = Input.length
+  let pp = Input.pp
+  let to_jsonl = Input.to_jsonl
+  let of_jsonl = Input.of_jsonl
+  let builtin = Vectors.builtin
+end)

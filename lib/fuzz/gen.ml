@@ -88,65 +88,17 @@ let fresh config prng ~len =
   let seed = Prng.next prng in
   { Input.seed; ops = List.init (max 1 len) (fun _ -> gen_op config prng) }
 
-(* ------------------------------------------------------------------ *)
-(* Mutation                                                            *)
-(* ------------------------------------------------------------------ *)
-
 let max_len = 64
 
-let nth_opt ops i = List.nth_opt ops i
-
-let replace ops i op = List.mapi (fun j o -> if j = i then op else o) ops
-
-let insert ops i op =
-  let rec go j = function
-    | [] -> [ op ]
-    | x :: rest -> if j = i then op :: x :: rest else x :: go (j + 1) rest
-  in
-  go 0 ops
-
-let remove ops i = List.filteri (fun j _ -> j <> i) ops
-
-let take n ops = List.filteri (fun i _ -> i < n) ops
-let drop n ops = List.filteri (fun i _ -> i >= n) ops
-
-(* One mutation of [input]: grammar-level havoc plus corpus splicing.
-   All randomness flows from [prng], so the whole campaign is a pure
-   function of the root seed. *)
-let mutate config prng ~(corpus : Input.t array) (input : Input.t) =
-  let ops = input.Input.ops in
-  let n = List.length ops in
-  let pick () = Prng.int_below prng (max 1 n) in
-  let mutated =
-    match Prng.int_below prng 8 with
-    | 0 -> { input with Input.ops = replace ops (pick ()) (gen_op config prng) }
-    | 1 when n < max_len ->
-        { input with Input.ops = insert ops (Prng.int_below prng (n + 1)) (gen_op config prng) }
-    | 2 when n > 1 -> { input with Input.ops = remove ops (pick ()) }
-    | 3 when n > 0 && n < max_len ->
-        (* duplicate a slice: repetition finds counter/lock bugs *)
-        let i = pick () in
-        let len = 1 + Prng.int_below prng (max 1 (min 4 (n - i))) in
-        let slice = take len (drop i ops) in
-        { input with Input.ops = take i ops @ slice @ drop i ops }
-    | 4 when n > 1 ->
-        let i = pick () and j = pick () in
-        let oi = nth_opt ops i and oj = nth_opt ops j in
-        (match (oi, oj) with
-        | Some oi, Some oj ->
-            { input with Input.ops = replace (replace ops i oj) j oi }
-        | _ -> input)
-    | 5 when Array.length corpus > 0 ->
-        (* splice: our prefix, another interesting input's suffix *)
-        let other = Prng.choose prng corpus in
-        let m = List.length other.Input.ops in
-        let i = Prng.int_below prng (max 1 n)
-        and j = Prng.int_below prng (max 1 m) in
-        { input with Input.ops = take max_len (take i ops @ drop j other.Input.ops) }
-    | 6 -> { input with Input.seed = Prng.next prng } (* new initial state *)
-    | _ when n > 1 -> { input with Input.ops = take (1 + pick ()) ops }
-    | _ -> { input with Input.ops = replace ops (pick ()) (gen_op config prng) }
-  in
-  if mutated.Input.ops = [] then
-    { mutated with Input.ops = [ gen_op config prng ] }
-  else mutated
+(* One mutation: the shared op-list havoc, where a reseed keeps the
+   ops and draws a new initial state. *)
+let mutate config prng ~other (input : Input.t) =
+  match
+    Oplist.mutate
+      ~gen_op:(fun () -> gen_op config prng)
+      ~max_len prng
+      ~other:(fun () -> (other ()).Input.ops)
+      input.Input.ops
+  with
+  | `Reseed -> { input with Input.seed = Prng.next prng }
+  | `Ops ops -> { input with Input.ops }

@@ -8,11 +8,12 @@
     function of the root seed. *)
 
 val max_len : int
-(** Hard cap on ops per input. *)
+(** Inputs shorter than this may grow by mutation ({!Oplist.mutate}). *)
 
 val gen_op : Miralis.Config.t -> Mir_util.Prng.t -> Input.op
 val fresh : Miralis.Config.t -> Mir_util.Prng.t -> len:int -> Input.t
 
 val mutate :
-  Miralis.Config.t -> Mir_util.Prng.t -> corpus:Input.t array -> Input.t ->
+  Miralis.Config.t -> Mir_util.Prng.t -> other:(unit -> Input.t) -> Input.t ->
   Input.t
+(** {!Oplist.mutate} over the ops; a reseed draws a new state seed. *)

@@ -18,8 +18,8 @@ type t = { seed : int64; ops : op list }
 val length : t -> int
 
 val hash : t -> int64
-(** FNV-1a over the seed and encoded operations — stable across runs,
-    used for corpus file names and determinism checks. *)
+(** {!Campaign.hash} of the encoded vector — stable across runs, the
+    corpus file-name key and the determinism-check key. *)
 
 val equal : t -> t -> bool
 
@@ -28,5 +28,3 @@ val pp : Format.formatter -> t -> unit
 
 val to_jsonl : t -> string
 val of_jsonl : string -> (t, string) result
-val save : t -> path:string -> unit
-val load : path:string -> (t, string) result

@@ -1,17 +1,13 @@
-(* Paging op class for the differential fuzzer.
+(* The paging dimension.
 
-   The PR-2 fuzzer checks the VFM emulator against the reference
-   machine; this class instead checks the machine against itself — the
+   The core dimension checks the VFM emulator against the reference
+   machine; this one checks the machine against itself — the
    software-TLB configuration against the raw-walker configuration —
    over generated streams of page-table edits, satp switches, fences,
    SUM/MXR/MPRV flips, PMP reconfigurations, and S/U/M memory probes
    (see [Mir_verif.Pgdiff] for the oracle and the fence discipline).
-
-   Generation is deterministic from the root seed via the same
-   config-rooted PRNG streams as everything else, and a coarse
-   edge map (op class x outcome) tracks behavioural coverage so the
-   smoke run can show it actually exercised faults, PMP denials, and
-   both address spaces. *)
+   Edges are (op class x outcome class), so a campaign shows it
+   actually exercised faults, PMP denials and both address spaces. *)
 
 module Prng = Mir_util.Prng
 module Pgdiff = Mir_verif.Pgdiff
@@ -158,37 +154,59 @@ let outcome_class : Pgdiff.outcome -> int = function
   | Pgdiff.Value _ -> 2
   | Pgdiff.Fault e -> 3 + Cause.exc_code e
 
-type result = {
-  execs : int;
-  seconds : float;
-  execs_per_sec : float;
-  edges : int;  (** distinct (op class, outcome class) pairs seen *)
-  divergence : (int * Pgdiff.divergence) option;
-      (** (execution index, divergence) *)
-}
+let edge op out = (op_class op * 32) + outcome_class out
 
-let run ?(tlb_entries = 16) ~seed ~max_execs () =
-  let prng = Miralis.Config.derive seed "pgfuzz/gen" in
-  let pair = Pgdiff.create_pair ~tlb_entries () in
-  let edges = Hashtbl.create 256 in
-  let on_outcome _i op out =
-    Hashtbl.replace edges (op_class op, outcome_class out) ()
+(* ------------------------------------------------------------------ *)
+(* Vectors: one name-plus-int64-args line per op, all on hart 0        *)
+(* ------------------------------------------------------------------ *)
+
+let to_line op =
+  let op, args = Pgdiff.to_args op in
+  { Oplist.op; h = 0; args }
+
+let of_line { Oplist.op; h; args } =
+  if h = 0 then Pgdiff.of_args op args else None
+
+(* ------------------------------------------------------------------ *)
+(* The dimension                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let exec pair ops =
+  let edges = ref [] in
+  let on_outcome _ op out = edges := edge op out :: !edges in
+  let failure =
+    Option.map
+      (fun (d : Pgdiff.divergence) ->
+        ( d.Pgdiff.op_index,
+          Printf.sprintf "%s: tlb %s, walker %s" d.Pgdiff.op d.Pgdiff.tlb_outcome
+            d.Pgdiff.walker_outcome ))
+      (Pgdiff.run_ops pair ~on_outcome ops)
   in
-  let t0 = Sys.time () in
-  let divergence = ref None in
-  let execs = ref 0 in
-  while !execs < max_execs && !divergence = None do
-    let ops = gen_ops prng in
-    (match Pgdiff.run_ops pair ~on_outcome ops with
-    | Some d -> divergence := Some (!execs, d)
-    | None -> ());
-    incr execs
-  done;
-  let seconds = Sys.time () -. t0 in
-  {
-    execs = !execs;
-    seconds;
-    execs_per_sec = (if seconds > 0. then float_of_int !execs /. seconds else 0.);
-    edges = Hashtbl.length edges;
-    divergence = !divergence;
-  }
+  { Campaign.failure; edges = !edges }
+
+include Campaign.Make (struct
+  type case = Pgdiff.op list
+  type ctx = Pgdiff.pair
+
+  let name = "paging"
+
+  let create ?inject_bug ~seed:_ () =
+    Campaign.no_bug name inject_bug;
+    Pgdiff.create_pair ~tlb_entries:16 ()
+
+  let gen _ = gen_ops
+
+  let mutate _ prng ~other ops =
+    let gen_op () = gen_op prng in
+    match Oplist.mutate ~gen_op ~max_len:64 prng ~other ops with
+    | `Reseed -> gen_ops prng
+    | `Ops ops -> ops
+
+  let exec = exec
+  let shrink pair = Shrink.ops (exec pair)
+  let size = List.length
+  let pp fmt ops = List.iter (Format.fprintf fmt "@\n  %a" Pgdiff.pp_op) ops
+  let to_jsonl = Oplist.to_jsonl ~family:name to_line
+  let of_jsonl = Oplist.of_jsonl ~family:name of_line
+  let builtin = []
+end)

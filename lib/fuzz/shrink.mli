@@ -1,5 +1,4 @@
-(** Divergence minimization: truncation at the diverging op, greedy
-    ddmin-style chunk removal, then per-op simplification. *)
+(** Divergence minimization over op lists. *)
 
 val ddmin : still_fails:('a list -> bool) -> 'a list -> 'a list
 (** Greedy delta-debugging over any list: removes chunks of decreasing
@@ -8,8 +7,8 @@ val ddmin : still_fails:('a list -> bool) -> 'a list -> 'a list
     is always retained. Reused by the schedule explorer to minimize
     failing schedules over their preemption points. *)
 
-val shrink : Exec.t -> Input.t -> Input.t
-(** Returns a minimal input that still diverges under [exec] (the
-    input itself if it does not diverge). Every removal is validated
-    by re-execution, so the result is a genuine failing input no
-    larger than the original. *)
+val ops : ('a list -> Campaign.verdict) -> 'a list -> 'a list
+(** [ops exec l]: truncate after the op [exec l] fails at, {!ddmin}
+    the rest, then try dropping the head that {!ddmin} keeps. Every
+    kept candidate still fails under [exec], so the result is a
+    genuine failing list no longer than the input. *)

@@ -3,8 +3,5 @@
     interrupt lines, out-of-range vPMP probes, unimplemented CSRs. *)
 
 val builtin : (string * Input.t) list
-(** Named vectors, replayable with {!Fuzzer.replay}. *)
-
-val emit : dir:string -> string list
-(** Write each builtin vector to [<dir>/<name>.jsonl]; returns the
-    paths. Used to (re)generate the checked-in [test/vectors/]. *)
+(** Named vectors: the core dimension's built-ins, emitted to
+    [test/vectors/core/] and replayable with {!Fuzzer.replay}. *)

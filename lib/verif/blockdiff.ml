@@ -368,18 +368,3 @@ let of_jsonl s =
               then Error "blockdiff vector: segments must be positive"
               else Ok { seed; words; segs }))
 
-let save c ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl c))
-
-let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> of_jsonl s
-  | exception Sys_error msg -> Error msg

@@ -45,7 +45,8 @@ val run_case :
     first divergence (None = the engine matched the interpreter at
     every segment boundary and in final RAM). *)
 
-val save : case -> path:string -> unit
-val load : path:string -> (case, string) result
-(** JSONL vector round-trip ([load] is the exact inverse of
-    [save]). *)
+val to_jsonl : case -> string
+val of_jsonl : string -> (case, string) result
+(** JSONL vector codec ([of_jsonl] is the exact inverse of
+    [to_jsonl]); files are written and read by the fuzz campaign
+    engine ([fuzz --dim blocks]). *)

@@ -96,6 +96,80 @@ let pp_op fmt (op : op) =
         (match kind with Aload -> "ld" | Astore -> "st" | Afetch -> "ifetch")
         size vaddr
 
+(* ------------------------------------------------------------------ *)
+(* Vector glue: an op as a name plus integer arguments                 *)
+(* ------------------------------------------------------------------ *)
+
+let kinds = [ ("load", Aload); ("store", Astore); ("fetch", Afetch) ]
+
+let to_args op =
+  let ints name args = (name, List.map Int64.of_int args) in
+  match op with
+  | Map { root; vpn; page; perms; fence_all } ->
+      ints "map" [ root; vpn; page; perms; Bool.to_int fence_all ]
+  | Unmap { root; vpn; fence_all } ->
+      ints "unmap" [ root; vpn; Bool.to_int fence_all ]
+  | Sfence { vaddr } -> ("sfence", Option.to_list vaddr)
+  | Satp_switch n -> ints "satp" [ n ]
+  | Sum_toggle -> ints "sum" []
+  | Mxr_toggle -> ints "mxr" []
+  | Mprv_toggle -> ints "mprv" []
+  | Priv_set p -> ints "priv" [ Priv.to_int p ]
+  | Pmp_set { slot; base_page; npages; perms } ->
+      ints "pmp" [ slot; base_page; npages; perms ]
+  | Access { kind; vaddr; size; value } ->
+      ( fst (List.find (fun (_, k) -> k = kind) kinds),
+        [ vaddr; Int64.of_int size; value ] )
+
+(* The op domain the machine pair supports (what the generator
+   draws); vectors read from files are checked against it. *)
+let supported = function
+  | Map { root; vpn; page; perms; _ } ->
+      root land 1 = root && vpn land 1023 = vpn && page >= 0
+      && page < pool_pages && perms land 0xFF = perms
+  | Unmap { root; vpn; _ } -> root land 1 = root && vpn land 1023 = vpn
+  | Satp_switch n -> n >= 0 && n <= 2
+  | Pmp_set { slot; base_page; npages; perms } ->
+      slot >= 0 && slot <= 2 && npages > 0
+      && npages land (npages - 1) = 0
+      && base_page >= 0
+      && base_page land (npages - 1) = 0
+      && base_page + npages <= pool_pages
+      && perms land 7 = perms
+  | Access { size; _ } -> List.mem size [ 1; 2; 4; 8 ]
+  | Sfence _ | Sum_toggle | Mxr_toggle | Mprv_toggle | Priv_set _ -> true
+
+let of_args name args =
+  (* integer arguments must survive [Int64.to_int] unchanged, or an
+     out-of-range value would wrap past [supported] and save back as a
+     different line *)
+  let fits a = Int64.equal (Int64.of_int (Int64.to_int a)) a in
+  let ints =
+    if List.for_all fits args then Some (List.map Int64.to_int args) else None
+  in
+  let op =
+    match (name, ints, args) with
+    | "map", Some [ root; vpn; page; perms; (0 | 1 as f) ], _ ->
+        Some (Map { root; vpn; page; perms; fence_all = f = 1 })
+    | "unmap", Some [ root; vpn; (0 | 1 as f) ], _ ->
+        Some (Unmap { root; vpn; fence_all = f = 1 })
+    | "sfence", _, [] -> Some (Sfence { vaddr = None })
+    | "sfence", _, [ va ] -> Some (Sfence { vaddr = Some va })
+    | "satp", Some [ n ], _ -> Some (Satp_switch n)
+    | "sum", _, [] -> Some Sum_toggle
+    | "mxr", _, [] -> Some Mxr_toggle
+    | "mprv", _, [] -> Some Mprv_toggle
+    | "priv", Some [ p ], _ -> Option.map (fun p -> Priv_set p) (Priv.of_int p)
+    | "pmp", Some [ slot; base_page; npages; perms ], _ ->
+        Some (Pmp_set { slot; base_page; npages; perms })
+    | name, _, [ vaddr; size; value ] when fits size ->
+        Option.map
+          (fun kind -> Access { kind; vaddr; size = Int64.to_int size; value })
+          (List.assoc_opt name kinds)
+    | _ -> None
+  in
+  Option.bind op (fun op -> if supported op then Some op else None)
+
 type outcome = Value of int64 | Stored | Fault of Cause.exc | Nothing
 
 let outcome_to_string = function

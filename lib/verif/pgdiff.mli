@@ -33,6 +33,15 @@ type op =
 
 val pp_op : Format.formatter -> op -> unit
 
+val to_args : op -> string * int64 list
+(** An op as a name plus integer arguments, for vector files. *)
+
+val of_args : string -> int64 list -> op option
+(** Inverse of {!to_args}; [None] for an unknown name, a wrong arity,
+    or an argument outside the domain the machine pair supports
+    (roots 0/1, vpn < 1024, pool pages, PMP slots 0..2 with aligned
+    power-of-two spans, access sizes 1/2/4/8). *)
+
 type outcome = Value of int64 | Stored | Fault of Mir_rv.Cause.exc | Nothing
 
 val pool_pages : int

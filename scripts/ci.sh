@@ -37,30 +37,36 @@ dune exec bin/miralis_sim.exe -- run --platform visionfive2 --mode miralis \
 dune exec bin/miralis_sim.exe -- run --platform visionfive2 --mode miralis \
   --replay "$trace"
 
-# Differential-fuzzing smoke: a short deterministic campaign must find
-# no divergence between the reference machine and the emulator (~10s),
-# and the checked-in conformance vectors must replay green.
-dune exec bin/miralis_sim.exe -- fuzz --max-execs 2000
-dune exec bin/miralis_sim.exe -- fuzz --replay test/vectors
-
-# Paging fast-path smoke: the TLB machine and the raw-walker machine
-# must agree over 10k generated streams of page-table edits, satp
-# switches, fences, SUM/MXR/MPRV flips and PMP reconfigurations.
-dune exec bin/miralis_sim.exe -- fuzz --paging --max-execs 10000
-
-# Block-engine smoke: the decoded basic-block engine must stay
-# bit-exact with the per-instruction interpreter over 10k generated
-# guest programs (self-modifying stores, mid-block traps, vm-epoch
-# bumps, fence.i; exit 1 on the first divergence, ~7s).
-dune exec bin/miralis_sim.exe -- fuzz --blocks --max-execs 10000
-
-# ACE-policy differential smoke: a short fixed-seed COVH campaign
-# (tsm_info / promote / run_vcpu / teecall / destroy / interrupts on
-# two harts) must find no divergence between the real policy and the
-# pure steal/return model, and the checked-in ace-*.jsonl vectors
-# must replay green.
-dune exec bin/miralis_sim.exe -- fuzz --policy ace --max-execs 100
-dune exec bin/miralis_sim.exe -- fuzz --policy ace --replay test/vectors
+# Differential-fuzzing smoke, one campaign engine for every dimension
+# (DESIGN.md §6): core = VFM emulator vs reference machine, paging = TLB
+# machine vs raw-walker machine, blocks = basic-block engine vs
+# interpreter, ace = ACE policy vs its steal/return model. A short
+# fixed-seed campaign per dimension must find no divergence (exit 1
+# otherwise), the checked-in vectors under test/vectors/<dim>/ must
+# replay green, and a missing --replay path must be a usage error
+# (exit 2), never a silent campaign. Each campaign persists to a
+# corpus directory that is kept on failure, so a divergence leaves a
+# replayable crash-<hash>.min.jsonl behind.
+fuzzdir=$(mktemp -d /tmp/miralis_fuzz.XXXXXX)
+for spec in core:2000 paging:10000 blocks:10000 ace:100; do
+  dim=${spec%%:*}
+  dune exec bin/miralis_sim.exe -- fuzz --dim "$dim" --max-execs "${spec#*:}" \
+    --corpus "$fuzzdir/$dim" || {
+    echo "ci: fuzz --dim $dim diverged; reproduction kept in $fuzzdir/$dim" >&2
+    exit 1
+  }
+  if [ -d "test/vectors/$dim" ]; then
+    dune exec bin/miralis_sim.exe -- fuzz --dim "$dim" --replay "test/vectors/$dim"
+  fi
+  rc=0
+  dune exec bin/miralis_sim.exe -- fuzz --dim "$dim" --replay /nonexistent \
+    --max-execs 5 || rc=$?
+  [ "$rc" -eq 2 ] || {
+    echo "ci: fuzz --dim $dim --replay of a missing path exited $rc, not 2" >&2
+    exit 1
+  }
+done
+rm -rf "$fuzzdir"
 
 # Schedule-exploration smoke: with no injected bug, every scenario's
 # isolation oracles must stay clean under the fixed-seed random and

@@ -48,29 +48,6 @@ let fail_divergence name (d : Blockdiff.divergence) =
     d.Blockdiff.interp_state
 
 (* ------------------------------------------------------------------ *)
-(* Checked-in vectors replay green                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_vectors_replay () =
-  let dir = if Sys.file_exists "vectors" then "vectors" else "test/vectors" in
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6 && String.sub f 0 6 = "block-")
-    |> List.sort compare
-  in
-  check_bool "block vectors present" true (List.length files >= 8);
-  List.iter
-    (fun f ->
-      match Blockdiff.load ~path:(Filename.concat dir f) with
-      | Error e -> Alcotest.failf "%s: %s" f e
-      | Ok case -> (
-          match Blockdiff.run_case case with
-          | None -> ()
-          | Some d -> fail_divergence f d))
-    files
-
-(* ------------------------------------------------------------------ *)
 (* Step-count equivalence                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -619,8 +596,6 @@ let () =
     [
       ( "oracle",
         [
-          Alcotest.test_case "checked-in vectors replay green" `Quick
-            test_vectors_replay;
           Alcotest.test_case "step-count equivalence (all budgets)" `Quick
             test_step_count_equivalence;
         ] );
