@@ -117,13 +117,13 @@ let ips_bench () =
     | Some s -> Int64.of_string s
     | None -> 4_000_000L
   in
-  let platform tlb_entries block_engine =
+  let platform tlb_entries =
     let p = Mir_platform.Platform.visionfive2 in
     {
       p with
       Mir_platform.Platform.machine =
         { p.Mir_platform.Platform.machine with
-          Mir_rv.Machine.tlb_entries; nharts = 1; block_engine };
+          Mir_rv.Machine.tlb_entries; nharts = 1 };
     }
   in
   let script sys =
@@ -143,9 +143,8 @@ let ips_bench () =
       ]
   in
   let measure tlb_entries block_engine =
-    let sys =
-      Setup.create (platform tlb_entries block_engine) Setup.Virtualized
-    in
+    let sys = Setup.create (platform tlb_entries) Setup.Virtualized in
+    Mir_rv.Machine.set_block_engine sys.Setup.machine block_engine;
     let t0 = Unix.gettimeofday () in
     Setup.run_scripts ~max_instrs:budget sys [ script sys ];
     let dt = Unix.gettimeofday () -. t0 in

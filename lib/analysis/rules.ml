@@ -179,8 +179,8 @@ let check_block_step ~file str =
     ~suffixes:[ [ "Machine"; "step_blocks" ] ]
     ~message_of:(fun p ->
       Printf.sprintf
-        "direct block-engine stepping via %s; use Machine.run with the \
-         block_engine knob"
+        "direct block-engine stepping via %s; use Machine.run or \
+         run_scheduled, whose advance honors the block_engine knob"
         (dotted p))
 
 (* ------------------------------------------------------------------ *)
@@ -566,8 +566,8 @@ let all =
       title = "Machine.step only in the machine, differs and benches";
       rationale =
         "multi-hart execution must go through Machine.run / \
-         run_scheduled so schedule control and device/time sync are \
-         never bypassed";
+         run_scheduled (their advance) so schedule control, race \
+         ticking and device/time sync are never bypassed";
       applies = everywhere;
       sanctioned =
         (fun f ->
@@ -590,9 +590,9 @@ let all =
       id = "block-step";
       title = "Machine.step_blocks behind the same fence as step";
       rationale =
-        "Machine.run owns the engine/interpreter dispatch, so the \
-         block_engine knob and its determinism contract are honored \
-         everywhere";
+        "Machine's advance (under run and run_scheduled) owns the \
+         engine/interpreter dispatch, so the block_engine knob and its \
+         determinism contract are honored everywhere";
       applies = everywhere;
       sanctioned =
         (fun f ->

@@ -3,7 +3,7 @@
    violation into a shrunk, replayable schedule artifact.
 
    One explorer run = one scheduler + one fresh scenario instance.
-   The pick function recording the schedule remaps picks of halted
+   The wrapper around the scheduler's [next] remaps runs of halted
    harts deterministically (next runnable, wrapping), records the
    switch, checks the oracles, and only then lets the scenario's
    switch action run — so a replayed schedule re-checks the oracles at
@@ -17,11 +17,11 @@ module Config = Miralis.Config
 module Schedule = Mir_trace.Schedule
 module Shrink = Mir_fuzz.Shrink
 
-exception Stop
+exception Stop of int
 
 type outcome = {
   violation : Oracle.violation option;
-  steps : int;  (** global steps consumed (= pick calls) *)
+  steps : int;  (** global steps consumed *)
   switches : (int * int) list;  (** recorded (step, hart), ascending *)
   trap_points : int;  (** switches taken right after a trap entry *)
 }
@@ -30,13 +30,11 @@ let run_once (inst : Scenario.instance) ~(sched : Sched.t) ?max_steps () =
   let m = inst.Scenario.system.Setup.machine in
   let nharts = Array.length m.Machine.harts in
   let max_steps = Option.value max_steps ~default:inst.Scenario.max_steps in
-  let step = ref 0 in
-  let last = ref (-1) in
   let switches = ref [] in
   let trap_points = ref 0 in
   let violation = ref None in
-  let pick m =
-    let h0 = sched.Sched.pick m ~step:!step ~last:!last in
+  let next m ~step ~last =
+    let h0, k = sched.Sched.next m ~step ~last in
     let h = ref (((h0 mod nharts) + nharts) mod nharts) in
     let tries = ref 0 in
     while !tries < nharts && m.Machine.harts.(!h).Hart.halted do
@@ -44,27 +42,27 @@ let run_once (inst : Scenario.instance) ~(sched : Sched.t) ?max_steps () =
       incr tries
     done;
     let h = !h in
-    if h <> !last then begin
-      if !last >= 0 && m.Machine.harts.(!last).Hart.just_trapped then
+    if h <> last then begin
+      if last >= 0 && m.Machine.harts.(last).Hart.just_trapped then
         incr trap_points;
-      switches := (!step, h) :: !switches;
-      (if !last >= 0 then
-         match Oracle.first_violation inst.Scenario.oracles with
-         | Some v ->
-             violation := Some v;
-             raise Stop
-         | None -> ());
-      if !last >= 0 then inst.Scenario.on_switch ~step:!step
+      switches := (step, h) :: !switches;
+      if last >= 0 then begin
+        (match Oracle.first_violation inst.Scenario.oracles with
+        | Some v ->
+            violation := Some v;
+            raise (Stop step)
+        | None -> ());
+        inst.Scenario.on_switch ~step
+      end
     end;
-    incr step;
-    last := h;
-    h
+    (h, k)
   in
-  (try Machine.run_scheduled m ~max_steps ~chunk:(32 * nharts) ~pick
-   with Stop -> ());
+  let steps =
+    try Machine.run_scheduled m ~max_steps ~next with Stop step -> step
+  in
   {
     violation = !violation;
-    steps = !step;
+    steps;
     switches = List.rev !switches;
     trap_points = !trap_points;
   }
@@ -132,9 +130,10 @@ type campaign = {
       (** first violation, with its (unshrunk) schedule *)
 }
 
-(* Replay budget slack: a violation found at step [s] needs [s+1] pick
-   calls to reach; pad a little so shrunk variants that shift the
-   violating switch slightly later still fit. *)
+(* Replay budget slack: a violation found at step [s] needs [s] steps
+   and one more scheduler call to reach; pad a little so shrunk
+   variants that shift the violating switch slightly later still
+   fit. *)
 let budget_pad = 8
 
 let run_family (scn : Scenario.t) ?bug ~family ~seed ~max_schedules ~nharts ()

@@ -4,14 +4,16 @@
 
 type outcome = {
   violation : Oracle.violation option;
-  steps : int;  (** global steps consumed (= pick calls) *)
+  steps : int;
+      (** global steps consumed (when a violation stops the run: the
+          step of the switch point that caught it) *)
   switches : (int * int) list;  (** recorded (step, hart), ascending *)
   trap_points : int;  (** switches taken right after a trap entry *)
 }
 
 val run_once :
   Scenario.instance -> sched:Sched.t -> ?max_steps:int -> unit -> outcome
-(** One schedule on a fresh instance: picks of halted harts are
+(** One schedule on a fresh instance: runs of halted harts are
     remapped to the next runnable hart, every switch is recorded and
     oracle-checked, and the run stops at the first violation. *)
 

@@ -1,36 +1,43 @@
 (* Pluggable hart schedulers for [Machine.run_scheduled].
 
-   A scheduler is a (possibly stateful) pick function: given the
+   A scheduler is a (possibly stateful) run-length function: given the
    machine, the global step counter and the hart that ran last, return
-   the hart to step next. All randomness comes from an explicit
-   [Mir_util.Prng.t], so a scheduler replays bit-identically from its
-   seed. Trap entries are the preemption-interesting points: a hart
-   whose previous step ended in a trap ([Hart.just_trapped]) is where
-   the random walk and PCT schedulers concentrate their switches,
-   since monitor emulation windows open there. *)
+   the hart to run next and for how many steps. [run_scheduled] ends a
+   segment early right after a trap entry (and when the hart halts), so
+   a scheduler whose per-step decision only changes at those points is
+   exactly its per-step pick written as run lengths. All randomness
+   comes from an explicit [Mir_util.Prng.t], so a scheduler replays
+   bit-identically from its seed. Trap entries are the
+   preemption-interesting points: a hart whose previous step ended in a
+   trap ([Hart.just_trapped]) is where the random walk and PCT
+   schedulers concentrate their switches, since monitor emulation
+   windows open there. *)
 
 module Machine = Mir_rv.Machine
 module Hart = Mir_rv.Hart
 module Prng = Mir_util.Prng
 
-type t = {
-  name : string;
-  pick : Machine.t -> step:int -> last:int -> int;
-}
+type t = { next : Machine.t -> step:int -> last:int -> int * int }
 
 (* Fixed time slices, hart 0 first — the cadence [Machine.run] itself
    uses. The explorer's baseline: a scheduler with no preemption at
    interesting points at all. *)
 let round_robin ?(slice = 32) ~nharts () =
   {
-    name = "round-robin";
-    pick = (fun _ ~step ~last:_ -> step / slice mod nharts);
+    next =
+      (fun _ ~step ~last:_ ->
+        (step / slice mod nharts, slice - (step mod slice)));
   }
 
-(* Seeded random walk. Expected slice length [avg_slice]; after a trap
-   entry the switch probability jumps to 1/2, so preemption
-   concentrates on the windows where the monitor has just begun (or
-   just finished) emulating on behalf of the interrupted hart.
+(* Seeded random walk. Expected slice length [avg_slice]: after the
+   first step of a run every step switches with probability
+   1/[avg_slice], so the run length is drawn at once, geometrically,
+   and a run that runs out (or whose hart halts) ends in a switch.
+   After a trap entry the switch probability jumps to 1/2, so
+   preemption concentrates on the windows where the monitor has just
+   begun (or just finished) emulating on behalf of the interrupted
+   hart. A run cut short by a trap is not resumed: the geometric draw
+   is memoryless, so a fresh one has the same distribution.
    [max_switches] bounds the number of preemptions the walk will take
    and [start_step] delays the first one — the shrinker uses small
    bounds with a randomized start so the budget is spent around one
@@ -38,31 +45,39 @@ let round_robin ?(slice = 32) ~nharts () =
 let random ?(avg_slice = 8) ?(max_switches = max_int) ?(start_step = 0) ~prng
     ~nharts () =
   let taken = ref 0 in
+  let log_stay = Float.log (1. -. (1. /. float_of_int avg_slice)) in
+  (* steps up to the first coin, then the coin's failures before its
+     first success (geometric, by inverting the CDF) *)
+  let run ~step =
+    let u = 1. -. Prng.float prng in
+    max (step + 1) start_step - step + int_of_float (Float.log u /. log_stay)
+  in
   {
-    name = "random";
-    pick =
+    next =
       (fun m ~step ~last ->
-        if last < 0 then Prng.int_below prng nharts
-        else if step < start_step || !taken >= max_switches then last
-        else
-          let trapped = m.Machine.harts.(last).Hart.just_trapped in
-          let switch =
-            if trapped then Prng.int_below prng 2 = 0
-            else Prng.int_below prng avg_slice = 0
-          in
-          if (not switch) || nharts < 2 then last
-          else begin
-            incr taken;
-            (last + 1 + Prng.int_below prng (nharts - 1)) mod nharts
-          end);
+        if last < 0 then
+          let h = Prng.int_below prng nharts in
+          (h, run ~step)
+        else if !taken >= max_switches || nharts < 2 then (last, max_int)
+        else if
+          step < start_step
+          || m.Machine.harts.(last).Hart.just_trapped
+             && Prng.int_below prng 2 <> 0
+        then (last, run ~step)
+        else begin
+          incr taken;
+          let h = (last + 1 + Prng.int_below prng (nharts - 1)) mod nharts in
+          (h, run ~step)
+        end);
   }
 
 (* PCT-style priority schedule (Burckhardt et al.): harts run strictly
-   by a random priority order, and at [depth] randomly chosen
+   by a random priority order, and at [depth] distinct, randomly chosen
    preemption-interesting events (trap entries observed so far) the
    currently-highest runnable hart is demoted below everyone else.
    With d demotion points this probes all bugs of preemption depth
-   <= d, one schedule at a time. *)
+   <= d, one schedule at a time. The running hart changes only at a
+   trap entry or a halt, so each run lasts until one. *)
 let pct ?(events = 64) ?(depth = 2) ~prng ~nharts () =
   let prio = Array.init nharts (fun i -> i) in
   (* Fisher-Yates from the schedule's prng *)
@@ -72,7 +87,15 @@ let pct ?(events = 64) ?(depth = 2) ~prng ~nharts () =
     prio.(i) <- prio.(j);
     prio.(j) <- tmp
   done;
-  let change_at = Array.init depth (fun _ -> 1 + Prng.int_below prng events) in
+  (* distinct change points: a collision is redrawn, so the schedule
+     runs at the requested depth (capped at [events]) *)
+  let rec draw acc n =
+    if n = 0 then acc
+    else
+      let c = 1 + Prng.int_below prng events in
+      if List.mem c acc then draw acc n else draw (c :: acc) (n - 1)
+  in
+  let change_at = draw [] (min depth events) in
   let event_count = ref 0 in
   let floor = ref (-1) in
   let top m =
@@ -87,18 +110,17 @@ let pct ?(events = 64) ?(depth = 2) ~prng ~nharts () =
     if !best < 0 then 0 else !best
   in
   {
-    name = "pct";
-    pick =
+    next =
       (fun m ~step:_ ~last ->
         if last >= 0 && m.Machine.harts.(last).Hart.just_trapped then begin
           incr event_count;
-          if Array.exists (fun c -> c = !event_count) change_at then begin
+          if List.mem !event_count change_at then begin
             let t = top m in
             prio.(t) <- !floor;
             decr floor
           end
         end;
-        top m);
+        (top m, max_int));
   }
 
 (* Exhaustive small-bound enumeration: every schedule whose switches
@@ -131,19 +153,21 @@ let dfs_schedules ~nharts ~horizon ~grid ~max_switches =
     (List.to_seq harts)
 
 (* Replay a recorded switch list: from each (step, hart) switch point
-   onward run that hart. Steps before the first switch (there are none
-   in well-formed schedules, which start at step 0) run hart 0. *)
+   onward run that hart, up to the next switch point. Steps before the
+   first switch (there are none in well-formed schedules, which start
+   at step 0) run hart 0. *)
 let of_switches switches =
   let rem = ref switches in
   let cur = ref 0 in
   {
-    name = "replay";
-    pick =
+    next =
       (fun _ ~step ~last:_ ->
         (match !rem with
         | (at, h) :: tl when at <= step ->
             cur := h;
             rem := tl
         | _ -> ());
-        !cur);
+        match !rem with
+        | (at, _) :: _ -> (!cur, max 1 (at - step))
+        | [] -> (!cur, max_int));
   }

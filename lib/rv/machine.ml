@@ -16,12 +16,6 @@ type config = {
          0 disables the TLB and the fetch-page cache, leaving the raw
          walker — the configuration the differential fuzzer and the
          ips benchmark use as oracle/baseline *)
-  block_engine : bool;
-      (* execute [run] through the decoded basic-block cache; [step]
-         always remains the per-instruction interpreter (the oracle),
-         and [run_scheduled] always steps the interpreter so schedule
-         exploration preempts at exact step counts. Requires the
-         fetch-page cache (tlb_entries > 0) to ever hit. *)
 }
 
 let default_config =
@@ -36,7 +30,6 @@ let default_config =
     xret_penalty = 100;
     mmio_penalty = 60;
     tlb_entries = 256;
-    block_engine = true;
   }
 
 (* Injectable cross-hart race windows, driven by the schedule explorer
@@ -106,7 +99,7 @@ let create config =
       blockdev = None;
       nic = None;
       blocks = Block.create ~words:(config.ram_size / 4);
-      block_engine = config.block_engine;
+      block_engine = true;
       mmode_hook = None;
       on_trap = None;
       on_csr_write = None;
@@ -176,9 +169,9 @@ let flush_icache t = Block.flush t.blocks
 (* Deferred cross-hart actions for the injected race windows: the
    countdown ticks once per global machine step (any hart), so a
    deferral of [race_window] models a propagation delay of a few
-   instructions of wall-clock. The queue is almost always empty; the
-   single [deferred <> []] test in [step] is the only cost when no bug
-   is armed. *)
+   instructions of wall-clock. The queue is almost always empty, and
+   only [advance] ticks it, so neither engine's per-step path looks at
+   it. *)
 let race_window = 6
 let defer t ~ticks action = t.deferred <- t.deferred @ [ { ticks; action } ]
 
@@ -828,15 +821,13 @@ let exec t hart instr bits =
 let wfi_quantum = 16
 
 (* Per-step preamble shared by the interpreter and the block engine:
-   deferred race actions, interrupt-line refresh, interrupt delivery,
-   wfi wake/idle. Returns true when the step must now fetch and
-   execute one instruction; false when the step was consumed by trap
-   entry, a wfi wake, or an idle wfi quantum. Keeping a single copy
-   of this sequence is what makes the two engines bit-exact: every
-   architectural step runs exactly one [pre_step], whichever engine
-   drives it. *)
+   interrupt-line refresh, interrupt delivery, wfi wake/idle. Returns
+   true when the step must now fetch and execute one instruction;
+   false when the step was consumed by trap entry, a wfi wake, or an
+   idle wfi quantum. Keeping a single copy of this sequence is what
+   makes the two engines bit-exact: every architectural step runs
+   exactly one [pre_step], whichever engine drives it. *)
 let pre_step t hart =
-  if t.deferred != [] then tick_deferred t;
   hart.Hart.just_trapped <- false;
   (* interrupt lines change only with device state (time advances per
      chunk; msip/PLIC on MMIO stores): refreshing every 16th step
@@ -1146,13 +1137,15 @@ let get_or_compile t idx =
    Pure runs additionally batch the bookkeeping itself: for
    register-only, non-trapping, hook-free instructions the only
    observables of the per-step preamble are the irq-stale counter
-   (bounded so no refresh point is skipped), the deferred-action
-   queue (required empty) and interrupt delivery (provably absent
-   while mip land mie = 0, since nothing in a pure run can change
-   either side). Batched closures leave [pc] parked at the batch
-   start (receiving their own position as a byte delta); the single
-   [pc <- pc + 4b] store afterwards is the only boxed-int64 write of
-   the whole batch.
+   (bounded so no refresh point is skipped) and interrupt delivery
+   (provably absent while mip land mie = 0, since nothing in a pure
+   run can change either side). The deferred-action queue is not one
+   of them: [advance] enters the engine only with it empty and ticks
+   it itself, and the engine hands control back right after any step
+   that deferred an action (only a trap or a memory/delegate op can).
+   Batched closures leave [pc] parked at the batch start (receiving
+   their own position as a byte delta); the single [pc <- pc + 4b]
+   store afterwards is the only boxed-int64 write of the whole batch.
 
    When a block ends and nothing stopped the hart, execution chains
    straight into the block at the new pc — same block for a tight
@@ -1167,7 +1160,7 @@ let get_or_compile t idx =
    nothing else since dispatch writes memory). A chain target that is
    cold or unmapped falls back to one interpreted step and then tries
    again, so the loop only returns to [step_blocks] on budget
-   exhaustion, trap, wfi, halt or power-off.
+   exhaustion, trap, deferral, wfi, halt or power-off.
 
    Counter discipline: cycles/instret/instr_count updates for pure
    and control ops are accumulated in a local [pend] and flushed
@@ -1231,18 +1224,13 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
   in
   sync_no_irq ();
   (* [pre_step] for the next instruction, with the common case — not
-     stalled in wfi (possible right after a Wfi terminator), no
-     deferred work, no line refresh due, nothing pending in mip∧mie
-     (so no interrupt can be delivered) — inlined to four compares
-     and one store. [just_trapped] is already false on every path
-     that reaches here. *)
+     stalled in wfi (possible right after a Wfi terminator), no line
+     refresh due, nothing pending in mip∧mie (so no interrupt can be
+     delivered) — inlined to three compares and one store.
+     [just_trapped] is already false on every path that reaches
+     here. *)
   let pre_next () =
-    if
-      (not hart.Hart.wfi)
-      && t.deferred == []
-      && hart.Hart.irq_stale < 15
-      && !no_irq
-    then begin
+    if (not hart.Hart.wfi) && hart.Hart.irq_stale < 15 && !no_irq then begin
       hart.Hart.irq_stale <- hart.Hart.irq_stale + 1;
       true
     end
@@ -1257,9 +1245,9 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
   (* Resident loop for a [Block.whole] self-chain — the shape of every
      tight guest loop (one pure run capped by a control terminator,
      branching back to its own entry). Entered from the tier-1 chain
-     site when the batch preconditions (mip land mie = 0, no deferred
-     work) hold; keeps all hot state (steps, pending counters, the
-     irq-stale window, the chain count) in parameters so iterating
+     site when the batch precondition (mip land mie = 0) holds;
+     keeps all hot state (steps, pending counters, the irq-stale
+     window, the chain count) in parameters so iterating
      costs no heap traffic beyond the ops' own effects. Bit-exact with
      the generic batch-with-control-tail path: the window check,
      counter and stale updates, trap parking and the inter-step
@@ -1277,8 +1265,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
        instructions retired / dispatches begun inside the loop, folded
        into the surrounding counters on exit. Invariants at every
        [go]: pc = sentry + 4 j and authoritative, pre_step consumed
-       for op [j], not wfi, deferred empty, mip land mie = 0,
-       just_trapped clear. *)
+       for op [j], not wfi, mip land mie = 0, just_trapped clear. *)
     let rec go j steps0 pend0 stale ret dsp =
       let count = sn - j in
       if count > budget - steps0 then begin
@@ -1319,8 +1306,8 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           i := j + w;
           continue_ := false
         end
-        else if (not !no_irq) || t.deferred != [] then begin
-          (* batch preconditions lapsed: generic loop takes over at
+        else if not !no_irq then begin
+          (* batch precondition lapsed: generic loop takes over at
              op [j+w] with pc materialized *)
           steps := steps_a;
           retired := !retired + ret_a;
@@ -1364,8 +1351,8 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           continue_ := false
         end
         else if stale1 < 15 then begin
-          (* inline fast pre_next: not-wfi, deferred empty and
-             mip land mie = 0 are spin invariants *)
+          (* inline fast pre_next: not-wfi and mip land mie = 0 are
+             spin invariants *)
           if hart.Hart.pc = sentry then
             go 0 steps1 pend1 (stale1 + 1) ret1 (dsp + 1)
           else begin
@@ -1393,10 +1380,10 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
             i := sn;
             continue_ := false
           end
-          else if hart.Hart.pc = sentry && !no_irq && t.deferred == [] then
+          else if hart.Hart.pc = sentry && !no_irq then
             go 0 steps1 0 hart.Hart.irq_stale ret1 (dsp + 1)
           else if hart.Hart.pc = sentry then begin
-            (* chained home but the batch preconditions lapsed: hand
+            (* chained home but the batch precondition lapsed: hand
                the realized self-chain to the generic loop *)
             steps := steps1;
             retired := !retired + ret1;
@@ -1418,7 +1405,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
     if !i < !n then begin
       let run = Array.unsafe_get !pure !i in
       let w =
-        if (not !no_irq) || t.deferred != [] then 1
+        if not !no_irq then 1
         else begin
           (* explicit int compares: Stdlib.min is polymorphic and
              would drag caml_lessequal into the per-batch path *)
@@ -1523,7 +1510,8 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
         else begin
           (* memory or delegate: full interpreter ceremony and the
              full set of stop checks (a store may invalidate this very
-             block; a delegate may do anything) *)
+             block; a delegate may do anything, an sfence.vma may defer
+             its remote shootdown) *)
           materialize ();
           flush ();
           (try (Array.unsafe_get !ops !i) hart
@@ -1535,7 +1523,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           incr i;
           if
             hart.Hart.just_trapped || t.poweroff || hart.Hart.halted
-            || !steps >= budget
+            || !steps >= budget || t.deferred != []
             || (match Block.lookup t.blocks !start_idx with
                | Some cur -> cur != !blk
                | None -> true)
@@ -1561,7 +1549,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
       if !have_page && (!blk).Block.term_inert then begin
         if pc = !entry_pc then begin
           (* tight loop back to this block's own entry *)
-          if (!blk).Block.whole && !no_irq && t.deferred == [] then spin ()
+          if (!blk).Block.whole && !no_irq then spin ()
           else begin
             incr disp;
             i := 0
@@ -1625,7 +1613,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           incr steps;
           if
             hart.Hart.just_trapped || t.poweroff || hart.Hart.halted
-            || !steps >= budget
+            || !steps >= budget || t.deferred != []
           then continue_ := false
           else if not (pre_next ()) then begin
             incr steps;
@@ -1645,11 +1633,17 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
    return how many were consumed (>= 1 whenever the hart is live).
    [step] above remains the per-instruction oracle; this entry point
    must be bit-exact with running [step] the same number of times —
-   record/replay digests and fleet determinism depend on it. Usage is
-   confined to lib/rv, lib/verif and bench by lint rule 7. *)
+   record/replay digests and fleet determinism depend on it. It
+   returns right after a step that ends in trap entry or leaves a
+   deferred action queued, so a scheduler sees every trap and
+   [advance] ticks every deferral on time. Usage is confined to
+   lib/rv, lib/verif and bench by lint rule 7. *)
 let step_blocks t hart ~budget =
   let steps = ref 0 in
-  while !steps < budget && (not t.poweroff) && not hart.Hart.halted do
+  while
+    !steps < budget && (not t.poweroff) && (not hart.Hart.halted)
+    && (!steps = 0 || not (hart.Hart.just_trapped || t.deferred != []))
+  do
     if not (pre_step t hart) then incr steps
     else begin
       let pc = hart.Hart.pc in
@@ -1690,12 +1684,33 @@ let step_blocks t hart ~budget =
 let block_stats t = Block.stats t.blocks
 let block_hit_rate t = Block.hit_rate t.blocks
 let set_block_engine t on = t.block_engine <- on
-let block_engine_enabled t = t.block_engine
+
+(* The one engine entry of every driver: run up to [k] >= 1 steps of a
+   live hart and return how many ran. It is the only reader of the
+   [block_engine] knob and the only place deferred race actions tick,
+   once before each step: while any is pending it moves one step;
+   otherwise the chosen engine runs until the budget, a trap entry, a
+   deferral, halt or power-off. *)
+let advance t hart k =
+  if t.deferred != [] then begin
+    tick_deferred t;
+    step t hart;
+    1
+  end
+  else if t.block_engine then step_blocks t hart ~budget:k
+  else
+    let rec interp n =
+      step t hart;
+      if
+        n < k && t.deferred == []
+        && not (t.poweroff || hart.Hart.halted || hart.Hart.just_trapped)
+      then interp (n + 1)
+      else n
+    in
+    interp 1
 
 let all_halted t =
   Array.for_all (fun h -> h.Hart.halted) t.harts
-
-let now_ticks t = Clint.mtime t.clint
 
 let sync_time t =
   let max_cycles =
@@ -1706,7 +1721,8 @@ let sync_time t =
 
 let poll_devices t =
   (match t.blockdev with
-  | Some bd -> Blockdev.poll bd ~now:(now_ticks t) (Plic.raise_irq t.plic)
+  | Some bd ->
+      Blockdev.poll bd ~now:(Clint.mtime t.clint) (Plic.raise_irq t.plic)
   | None -> ());
   match t.nic with
   | Some nic ->
@@ -1714,7 +1730,16 @@ let poll_devices t =
       else Plic.lower_irq t.plic (Nic.irq nic)
   | None -> ()
 
-let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
+(* Device time advances between hart slices: every [slice] steps per
+   hart in both drivers. *)
+let slice = 32
+
+let sync_devices t =
+  sync_time t;
+  poll_devices t;
+  match t.on_chunk with Some f -> f t | None -> ()
+
+let run ?(max_instrs = Int64.max_int) t =
   let max_instrs =
     if max_instrs >= Int64.of_int max_int then max_int
     else Int64.to_int max_instrs
@@ -1724,48 +1749,52 @@ let run ?(max_instrs = Int64.max_int) ?(chunk = 32) t =
   while (not t.poweroff) && (not (all_halted t)) && budget_left () > 0 do
     Array.iter
       (fun hart ->
+        (* [advance] consumes >= 1 step per call on a live hart, so the
+           slice always terminates *)
         let n = ref 0 in
-        if t.block_engine then
-          (* same hart-slice budget; [step_blocks] consumes >= 1 step
-             per call on a live hart, so the slice always terminates *)
-          while !n < chunk && (not t.poweroff) && not hart.Hart.halted do
-            n := !n + step_blocks t hart ~budget:(chunk - !n)
-          done
-        else
-          while !n < chunk && (not t.poweroff) && not hart.Hart.halted do
-            step t hart;
-            incr n
-          done)
+        while !n < slice && (not t.poweroff) && not hart.Hart.halted do
+          n := !n + advance t hart (slice - !n)
+        done)
       t.harts;
-    sync_time t;
-    poll_devices t;
-    match t.on_chunk with Some f -> f t | None -> ()
+    sync_devices t
   done;
   sync_time t
 
-(* Scheduled execution: [pick] chooses the hart for every single step,
-   so a scheduler (lib/explore) can preempt at arbitrary step
-   boundaries. Device time is synced every [chunk] scheduled steps —
-   pass 32 * nharts to mirror [run]'s cadence. The contract on [pick]
-   is to return a non-halted hart (the explorer remaps halted picks
-   deterministically before recording them); a halted or out-of-range
-   pick steps nothing but still consumes budget, so the loop always
-   terminates. [pick] may raise to abort the run early. *)
-let run_scheduled ?(max_steps = max_int) ?(chunk = 64) ~pick t =
+(* Scheduled execution: [next t ~step ~last] names the hart to run and
+   for how many steps, given the steps consumed so far and the hart of
+   the previous segment (-1 at the start). Each segment runs through
+   [advance], cut at the device-sync boundaries (every [slice * nharts]
+   steps, [run]'s cadence) without consulting [next], and ended early
+   by a trap entry, halt or power-off — the only points where the
+   explorer's schedulers change their decision. A halted or
+   out-of-range hart steps nothing but consumes one step, so the loop
+   always terminates. [next] may raise to abort the run. Returns the
+   number of steps consumed. *)
+let run_scheduled ?(max_steps = max_int) ~next t =
   let nharts = Array.length t.harts in
-  let n = ref 0 in
+  let period = slice * nharts in
   let total = ref 0 in
+  let last = ref (-1) in
+  (* no piece crosses a sync point, so one lands exactly on each *)
+  let consume n =
+    total := !total + n;
+    if !total mod period = 0 then sync_devices t
+  in
   while (not t.poweroff) && (not (all_halted t)) && !total < max_steps do
-    let h = pick t in
-    if h >= 0 && h < nharts && not t.harts.(h).Hart.halted then
-      step t t.harts.(h);
-    incr n;
-    incr total;
-    if !n >= chunk then begin
-      n := 0;
-      sync_time t;
-      poll_devices t;
-      match t.on_chunk with Some f -> f t | None -> ()
+    let h, k = next t ~step:!total ~last:!last in
+    last := h;
+    if h < 0 || h >= nharts || t.harts.(h).Hart.halted then consume 1
+    else begin
+      let hart = t.harts.(h) in
+      let left = ref (min (max k 1) (max_steps - !total)) in
+      while !left > 0 do
+        let n = advance t hart (min !left (period - (!total mod period))) in
+        consume n;
+        left :=
+          if hart.Hart.just_trapped || hart.Hart.halted || t.poweroff then 0
+          else !left - n
+      done
     end
   done;
-  sync_time t
+  sync_time t;
+  !total

@@ -26,14 +26,6 @@ type config = {
   tlb_entries : int;
       (** per-hart software-TLB slots (default 256; 0 disables the TLB
           and the fetch-page cache, leaving the raw walker) *)
-  block_engine : bool;
-      (** execute {!run} through the decoded basic-block cache
-          (default true). {!step} always remains the per-instruction
-          interpreter — the differential oracle — and {!run_scheduled}
-          always steps the interpreter so schedule exploration
-          preempts at exact step counts. The engine requires the
-          fetch-page cache ([tlb_entries > 0]) to ever hit; with it
-          disabled every step falls back to the interpreter. *)
 }
 
 val default_config : config
@@ -68,8 +60,10 @@ type t = {
           from them, in one sparse record per 4 KiB RAM page,
           physically indexed; see DESIGN.md §11 *)
   mutable block_engine : bool;
-      (** whether {!run} dispatches through {!step_blocks}; initial
-          value comes from {!field:config.block_engine} *)
+      (** whether {!run} and {!run_scheduled} execute through the
+          decoded basic-block engine ({!step_blocks}) rather than the
+          per-instruction interpreter ({!step}); true on creation, set
+          with {!set_block_engine} *)
   mutable mmode_hook : (t -> Hart.t -> Cause.t -> unit) option;
   mutable on_trap :
     (t -> Hart.t -> Cause.t -> from_priv:Priv.t -> to_m:bool -> unit) option;
@@ -83,8 +77,9 @@ type t = {
     option;
       (** fired after every successful device (non-RAM) load/store *)
   mutable on_chunk : (t -> unit) option;
-      (** fired once per scheduler round in {!run}, after device
-          polling — used by the checkpoint layer *)
+      (** fired at every device-sync point of {!run} and
+          {!run_scheduled}, after device polling — used by the
+          checkpoint layer *)
   mutable poweroff : bool;
   mutable instr_count : int;
       (** total machine steps retired (plain [int]: unboxed updates;
@@ -94,7 +89,8 @@ type t = {
           every propagation step atomic as before *)
   mutable deferred : deferred list;
       (** pending cross-hart propagation actions; ticked once per
-          global step, empty unless a race bug is armed *)
+          global step of {!run}/{!run_scheduled} (not by a bare
+          {!step}), empty unless a race bug is armed *)
 }
 
 and deferred = { mutable ticks : int; action : t -> unit }
@@ -112,17 +108,10 @@ val phys_store : t -> int64 -> int -> int64 -> bool
 val load_program : t -> int64 -> bytes -> unit
 (** Copy a program image into RAM and flush the decode cache. *)
 
-val pmp_check :
-  t -> Hart.t -> priv:Priv.t -> Pmp.access -> addr:int64 -> size:int -> bool
-(** The hart's current physical PMP applied to an access. *)
-
 val translate :
   t -> Hart.t -> priv:Priv.t -> Vmem.access -> int64 ->
   (int64, Cause.exc) result
 (** Sv39 translation using the hart's satp/mstatus context. *)
-
-val take_trap : t -> Hart.t -> Cause.t -> tval:int64 -> unit
-(** Architectural trap entry (delegation, CSR updates, hook). *)
 
 val pending_interrupt : t -> Hart.t -> Cause.intr option
 (** The interrupt the hart would take next, per the architectural
@@ -130,17 +119,19 @@ val pending_interrupt : t -> Hart.t -> Cause.intr option
 
 val step : t -> Hart.t -> unit
 (** Execute one instruction (or deliver one interrupt / idle one
-    quantum in WFI). *)
+    quantum in WFI). Deferred race actions are not ticked here: the
+    drivers tick them between steps. *)
 
 val step_blocks : t -> Hart.t -> budget:int -> int
 (** Consume up to [budget] machine steps through the decoded
     basic-block engine and return the number consumed (at least 1 on
-    a live, non-powered-off machine). Bit-exact with calling {!step}
-    the same number of times — architectural state, cycles, instret
-    and the global instruction count all agree at every step
-    boundary; only cache statistics differ. Exposed for the
-    differential harness (lib/verif) and the benchmark; lint rule 7
-    keeps other layers on {!run}/{!step}. *)
+    a live, non-powered-off machine). Returns early, right after a
+    step that ends in trap entry or defers a race action. Bit-exact
+    with calling {!step} the same number of times — architectural
+    state, cycles, instret and the global instruction count all agree
+    at every step boundary; only cache statistics differ. Exposed for
+    the differential harness (lib/verif) and the benchmark; lint rule
+    7 keeps other layers on {!run}/{!run_scheduled}. *)
 
 val block_stats : t -> Block.stats
 (** Lifetime block-cache counters for this machine. *)
@@ -150,11 +141,11 @@ val block_hit_rate : t -> float
     compiled blocks (0 when the engine never ran). *)
 
 val set_block_engine : t -> bool -> unit
-(** Toggle the engine used by {!run}; flushing is unnecessary because
-    blocks are built from the same decoded words the interpreter
-    fetches. *)
-
-val block_engine_enabled : t -> bool
+(** Toggle the engine used by {!run} and {!run_scheduled}; flushing is
+    unnecessary because blocks are built from the same decoded words
+    the interpreter fetches. The engine needs the fetch-page cache
+    ([tlb_entries > 0]) to ever hit; without it every step falls back
+    to the interpreter. *)
 
 val charge : Hart.t -> int -> unit
 (** Add cost-model cycles to a hart. *)
@@ -162,30 +153,38 @@ val charge : Hart.t -> int -> unit
 val resume : Hart.t -> pc:int64 -> priv:Priv.t -> unit
 (** Redirect a hart (used by the VFM when returning from emulation). *)
 
-val run : ?max_instrs:int64 -> ?chunk:int -> t -> unit
-(** Run all harts round-robin until power-off, all harts halt, or the
-    instruction budget is exhausted. *)
+val run : ?max_instrs:int64 -> t -> unit
+(** Run all harts round-robin, 32 steps per hart slice with device
+    time synced after each round, until power-off, all harts halt, or
+    the instruction budget is exhausted (checked between rounds).
+    Every slice goes through the same internal [advance] as
+    {!run_scheduled}: the engine chosen by {!set_block_engine}, with
+    deferred race actions ticked once per step. *)
 
-val run_scheduled : ?max_steps:int -> ?chunk:int -> pick:(t -> int) -> t -> unit
-(** Run under an external scheduler: [pick] chooses the hart for every
-    single step, so a schedule explorer can preempt at arbitrary step
-    boundaries. Device time is synced every [chunk] scheduled steps
-    (pass [32 * nharts] to mirror {!run}'s cadence). [pick] should
-    return a non-halted hart; a halted or out-of-range pick steps
-    nothing but still consumes the step budget. [pick] may raise to
-    abort the run. *)
+val run_scheduled :
+  ?max_steps:int -> next:(t -> step:int -> last:int -> int * int) -> t -> int
+(** Run under an external scheduler and return the steps consumed.
+    [next t ~step ~last] returns [(hart, k)]: run [hart] for [k] steps,
+    given the [step]s consumed so far and the hart [last] run (-1
+    before the first segment). A segment ends early, and [next] is
+    consulted again, right after a step that ends in trap entry, or
+    when the hart halts; it is cut without consulting [next] at the
+    device-sync points, every [32 * nharts] steps ({!run}'s cadence).
+    Each piece runs through the same internal [advance] as {!run}, so
+    a schedule preempts at exact step counts whichever engine is
+    selected. [next] should return a non-halted hart; a halted or
+    out-of-range hart steps nothing but consumes one step. [next] may
+    raise to abort the run. *)
 
 val race_window : int
 (** Width, in global steps, of every injected race window. *)
 
 val defer : t -> ticks:int -> (t -> unit) -> unit
 (** Schedule an action to run at the start of the [ticks]-th next
-    machine step (any hart). Used by the race-bug injections to model
-    delayed cross-hart propagation. *)
+    machine step (any hart) of {!run}/{!run_scheduled}. Used by the
+    race-bug injections to model delayed cross-hart propagation. *)
 
 val all_halted : t -> bool
-val now_ticks : t -> int64
-(** Current mtime. *)
 
 val flush_icache : t -> unit
 (** Drop all decoded state: every decoded word and block ([fence.i],

@@ -76,11 +76,13 @@ rm -rf "$fuzzdir"
 dune exec bin/miralis_sim.exe -- explore --max-schedules 200
 dune exec bin/miralis_sim.exe -- explore --replay-schedule test/schedules
 
-# ACE steal/return race: the armed Ace_stale_ownership window must be
-# caught by a preemptive scheduler within the default budget (the CLI
-# exits 1 on an explorer gap; round-robin staying blind is reported).
+# Injected races: every armed window must be caught by a preemptive
+# scheduler within the default budget (the CLI exits 1 on an explorer
+# gap; round-robin staying blind is reported).
 dune exec bin/miralis_sim.exe -- explore --scenario ace --max-schedules 100
-dune exec bin/miralis_sim.exe -- explore --inject-bug ace-stale-ownership
+for bug in vm-epoch msip-drop pmp-handoff ace-stale-ownership; do
+  dune exec bin/miralis_sim.exe -- explore --inject-bug "$bug"
+done
 
 # Memory-system fast-path benchmark, small budget: the TLB-enabled
 # instrs/sec figure must stay within 20% of the committed baseline.

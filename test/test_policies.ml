@@ -646,31 +646,24 @@ module Config = Miralis.Config
 
 let schedule_seeds = [ 0; 1; 2 ]
 
-(* Run a system to completion under a seeded random schedule, stopping
-   early once the policy has flagged a violation. Picks of halted
-   harts are remapped to the next runnable one. *)
+(* Run a system to completion under a seeded random schedule through
+   the explorer's wrapper (halted harts remapped to the next runnable
+   one), stopping at the first switch point after the policy has
+   flagged a violation. *)
 let run_random_schedule sys ~label ~max_steps =
-  let m = sys.Setup.machine in
-  let nharts = Array.length m.Machine.harts in
-  let prng = Config.derive Config.default_seed label in
-  let sched = Sched.random ~prng ~nharts () in
   let mir = Option.get sys.Setup.miralis in
-  let step = ref 0 in
-  let last = ref (-1) in
-  let pick m =
-    if mir.Monitor.violation <> None then raise Exit;
-    let h0 = sched.Sched.pick m ~step:!step ~last:!last in
-    let h = ref (((h0 mod nharts) + nharts) mod nharts) in
-    let tries = ref 0 in
-    while !tries < nharts && m.Machine.harts.(!h).Hart.halted do
-      h := (!h + 1) mod nharts;
-      incr tries
-    done;
-    incr step;
-    last := !h;
-    !h
+  let inst =
+    {
+      ExpScenario.system = sys;
+      mir;
+      oracles = [ Mir_explore.Oracle.policy_flag mir ];
+      on_switch = (fun ~step:_ -> ());
+      max_steps;
+    }
   in
-  try Machine.run_scheduled m ~max_steps ~pick with Exit -> ()
+  let prng = Config.derive Config.default_seed label in
+  let nharts = Array.length sys.Setup.machine.Machine.harts in
+  ignore (Explore.run_once inst ~sched:(Sched.random ~prng ~nharts ()) ())
 
 let test_sandbox_honest_schedule_independent () =
   List.iter
