@@ -49,13 +49,13 @@ let nowhere (_ : string) = false
 (* Generic traversals                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Visit every expression identifier; [f] returns an optional
-   diagnostic for the (Stdlib-stripped) dotted path. *)
+(* Visit every expression identifier and constructor; [f] returns an
+   optional diagnostic for the (Stdlib-stripped) dotted path. *)
 let fold_idents ~file str ~f =
   let acc = ref [] in
   let expr self e =
     (match e.pexp_desc with
-    | Pexp_ident { txt; _ } -> (
+    | Pexp_ident { txt; _ } | Pexp_construct ({ txt; _ }, _) -> (
         match flatten_longident txt with
         | Some p -> (
             match f ~loc:e.pexp_loc (strip_stdlib p) with
@@ -165,23 +165,20 @@ let check_csr_write ~file str =
       Printf.sprintf "direct %s outside the sanctioned install paths"
         (dotted p))
 
-let check_machine_step ~file str =
-  check_suffixes ~rule:"machine-step" ~file str
-    ~suffixes:[ [ "Machine"; "step" ] ]
+(* Rules 5/7: [Machine.step] and [Machine.step_blocks] bypass the
+   drivers' [advance], and with it schedule control, the engine
+   selector and device/time sync. Both share one fence. *)
+let check_stepping ~rule fn ~file str =
+  check_suffixes ~rule ~file str
+    ~suffixes:[ [ "Machine"; fn ] ]
     ~message_of:(fun p ->
       Printf.sprintf
         "direct hart stepping via %s; use Machine.run or \
          Machine.run_scheduled"
         (dotted p))
 
-let check_block_step ~file str =
-  check_suffixes ~rule:"block-step" ~file str
-    ~suffixes:[ [ "Machine"; "step_blocks" ] ]
-    ~message_of:(fun p ->
-      Printf.sprintf
-        "direct block-engine stepping via %s; use Machine.run or \
-         run_scheduled, whose advance honors the block_engine knob"
-        (dotted p))
+let stepping_fence f =
+  in_any [ "lib/rv/"; "lib/verif/"; "bench/" ] f || f = "test/test_blocks.ml"
 
 (* ------------------------------------------------------------------ *)
 (* Rule 4: satp-raw-install                                            *)
@@ -491,6 +488,21 @@ let check_determinism ~file str =
       else None)
 
 (* ------------------------------------------------------------------ *)
+(* Rule 10: race-hook                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Constructing a [Raced] engine, or calling the explorer's [Race.arm]
+   that does: both arm an injected race. Matching on [Raced], as the
+   machine's own engine dispatch does, is a pattern and never fires. *)
+let check_race_hook ~file str =
+  check_suffixes ~rule:"race-hook" ~file str
+    ~suffixes:[ [ "Raced" ]; [ "Race"; "arm" ] ]
+    ~message_of:(fun p ->
+      Printf.sprintf
+        "%s arms an injected race; only the schedule explorer and tests may"
+        (dotted p))
+
+(* ------------------------------------------------------------------ *)
 (* The catalog                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -569,11 +581,8 @@ let all =
          run_scheduled (their advance) so schedule control, race \
          ticking and device/time sync are never bypassed";
       applies = everywhere;
-      sanctioned =
-        (fun f ->
-          in_any [ "lib/rv/"; "lib/verif/"; "bench/" ] f
-          || f = "test/test_blocks.ml");
-      check = check_machine_step;
+      sanctioned = stepping_fence;
+      check = check_stepping ~rule:"machine-step" "step";
     };
     {
       id = "toplevel-mutable";
@@ -591,14 +600,11 @@ let all =
       title = "Machine.step_blocks behind the same fence as step";
       rationale =
         "Machine's advance (under run and run_scheduled) owns the \
-         engine/interpreter dispatch, so the block_engine knob and its \
+         engine/interpreter dispatch, so the engine selector and its \
          determinism contract are honored everywhere";
       applies = everywhere;
-      sanctioned =
-        (fun f ->
-          in_any [ "lib/rv/"; "lib/verif/"; "bench/" ] f
-          || f = "test/test_blocks.ml");
-      check = check_block_step;
+      sanctioned = stepping_fence;
+      check = check_stepping ~rule:"block-step" "step_blocks";
     };
     {
       id = "domain-capture";
@@ -621,6 +627,17 @@ let all =
       applies = (fun f -> not (starts_with "bench/" f));
       sanctioned = nowhere;
       check = check_determinism;
+    };
+    {
+      id = "race-hook";
+      title = "injected races armed only by the explorer and tests";
+      rationale =
+        "a Raced engine single-steps the machine and lets the cross-hart \
+         propagation sites land late; production code must never arm \
+         one, or test-only fault injection leaks into real runs";
+      applies = everywhere;
+      sanctioned = in_any [ "lib/explore/"; "test/" ];
+      check = check_race_hook;
     };
   ]
 

@@ -27,7 +27,10 @@
       captured mutable state without an [Atomic]/[Mutex] wrapper.
     - ["determinism"] — wall-clock and host-entropy sources
       ([Sys.time], [Unix.gettimeofday], [Unix.time],
-      [Random.self_init], [Domain.self]) are banned outside [bench/]. *)
+      [Random.self_init], [Domain.self]) are banned outside [bench/].
+    - ["race-hook"] — only [lib/explore/] and [test/] may construct a
+      [Machine.Raced] engine or call [Race.arm]: injected races stay
+      out of production runs. *)
 
 type t = {
   id : string;

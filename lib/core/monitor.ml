@@ -94,10 +94,9 @@ and reinstall_pmp t hart =
   emit_event t hart Mir_trace.Event.Pmp_reinstall
 
 (* Policy entries changed for every hart (enclave create/destroy): the
-   current hart reinstalls inline; siblings are reinstalled in the
-   same step — except under the Pmp_handoff_window injected bug,
-   where the sibling reinstalls land [race_window] steps late,
-   reproducing the cross-hart PMP handoff window the schedule
+   current hart reinstalls inline; the siblings' reinstall is a
+   [Pmp_reinstall] site, in the same step unless an armed race delays
+   it and opens the cross-hart PMP handoff window the schedule
    explorer's oracles are built to catch. *)
 and reinstall_pmp_all t hart =
   reinstall_pmp t hart;
@@ -111,10 +110,8 @@ and reinstall_pmp_all t hart =
         end)
       m.Machine.harts
   in
-  match t.machine.Machine.race_bug with
-  | Some Machine.Pmp_handoff_window ->
-      Machine.defer t.machine ~ticks:Machine.race_window siblings
-  | _ -> siblings t.machine
+  if not (Machine.delay t.machine Machine.Pmp_reinstall siblings) then
+    siblings t.machine
 
 (* ------------------------------------------------------------------ *)
 (* World switches                                                      *)

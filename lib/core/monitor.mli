@@ -42,9 +42,8 @@ val reinstall_pmp : t -> Mir_rv.Hart.t -> unit
 
 val reinstall_pmp_all : t -> Mir_rv.Hart.t -> unit
 (** Re-derive every hart's physical PMP ([hart] is the one acting, and
-    is reinstalled inline; siblings follow in the same step, or
-    {!Mir_rv.Machine.race_window} steps late under the
-    Pmp_handoff_window injected bug). *)
+    is reinstalled inline; siblings follow in the same step unless an
+    armed race delays this {!Mir_rv.Machine.Pmp_reinstall} site). *)
 
 val enter_firmware : t -> Mir_rv.Hart.t -> pc:int64 -> unit
 (** Resume a hart in vM-mode at [pc]. *)

@@ -27,27 +27,18 @@ let hart_targets (m : Machine.t) ~mask ~base =
       (List.init 64 Fun.id)
 
 (* Post a virtual IPI/rfence to each target: set the vCLINT pending
-   flag and kick the physical MSIP in the same step. Under the
-   Dropped_msip injected bug, a target that was preempted mid-trap
-   (its last step ended in a trap entry and it has not run since) gets
-   its physical kick [race_window] steps late, leaving a window in
-   which the vCLINT says "pending" but the CLINT will not deliver —
-   the delivery-ordering inconsistency the explorer's oracle checks.
-   The posting hart itself is exempt: it is always mid-trap (it is
-   executing the ecall being offloaded). *)
+   flag and kick the physical MSIP in the same step. Each kick of a
+   hart other than the poster is a [Msip_kick] site: a race armed on it
+   leaves a window in which the vCLINT says "pending" but the CLINT
+   will not deliver, the delivery-ordering inconsistency the
+   explorer's oracle checks. The poster's own kick is immediate. *)
 let kick_with (m : Machine.t) vclint flag ~poster targets =
   List.iter
     (fun h ->
       flag vclint h true;
-      let dropped =
-        m.Machine.race_bug = Some Machine.Dropped_msip
-        && h <> poster
-        && m.Machine.harts.(h).Hart.just_trapped
-      in
-      if dropped then
-        Machine.defer m ~ticks:Machine.race_window (fun m ->
-            Clint.set_msip m.Machine.clint h true)
-      else Clint.set_msip m.Machine.clint h true)
+      let kick m = Clint.set_msip m.Machine.clint h true in
+      if h = poster || not (Machine.delay m (Machine.Msip_kick h) kick) then
+        kick m)
     targets
 
 let set_timer (config : Config.t) (m : Machine.t) vclint stats hart deadline =

@@ -72,33 +72,26 @@ let run_once (inst : Scenario.instance) ~(sched : Sched.t) ?max_steps () =
 (* ------------------------------------------------------------------ *)
 
 let bug_name = function
-  | Machine.Delayed_vm_epoch -> "vm-epoch"
-  | Machine.Dropped_msip -> "msip-drop"
-  | Machine.Pmp_handoff_window -> "pmp-handoff"
-  | Machine.Ace_stale_ownership -> "ace-stale-ownership"
+  | Race.Delayed_vm_epoch -> "vm-epoch"
+  | Race.Dropped_msip -> "msip-drop"
+  | Race.Pmp_handoff_window -> "pmp-handoff"
+  | Race.Ace_stale_ownership -> "ace-stale-ownership"
 
 let bug_of_name = function
-  | "vm-epoch" -> Ok (Some Machine.Delayed_vm_epoch)
-  | "msip-drop" -> Ok (Some Machine.Dropped_msip)
-  | "pmp-handoff" -> Ok (Some Machine.Pmp_handoff_window)
-  | "ace-stale-ownership" -> Ok (Some Machine.Ace_stale_ownership)
   | "none" -> Ok None
-  | s -> Error (Printf.sprintf "unknown bug %S" s)
+  | s -> (
+      let bugs = List.filter_map (fun scn -> scn.Scenario.bug) Scenario.all in
+      match List.find_opt (fun b -> bug_name b = s) bugs with
+      | Some b -> Ok (Some b)
+      | None -> Error (Printf.sprintf "unknown bug %S" s))
 
 (* The scenario whose workload exercises the given bug's window. *)
 let scenario_for_bug bug =
-  let name =
-    match bug with
-    | Machine.Delayed_vm_epoch -> "sfence"
-    | Machine.Dropped_msip -> "ipi"
-    | Machine.Pmp_handoff_window -> "keystone"
-    | Machine.Ace_stale_ownership -> "ace"
-  in
-  Option.get (Scenario.find name)
+  List.find (fun scn -> scn.Scenario.bug = Some bug) Scenario.all
 
 let build (scn : Scenario.t) ?bug ~nharts ~seed () =
   let inst = scn.Scenario.build ~nharts ~seed in
-  inst.Scenario.system.Setup.machine.Machine.race_bug <- bug;
+  Option.iter (Race.arm inst.Scenario.system.Setup.machine) bug;
   inst
 
 (* ------------------------------------------------------------------ *)
@@ -112,13 +105,6 @@ let family_name = function
   | Random -> "random"
   | Pct -> "pct"
   | Dfs -> "dfs"
-
-let family_of_name = function
-  | "round-robin" | "rr" -> Ok Rr
-  | "random" -> Ok Random
-  | "pct" -> Ok Pct
-  | "dfs" -> Ok Dfs
-  | s -> Error (Printf.sprintf "unknown scheduler family %S" s)
 
 type campaign = {
   family : family;

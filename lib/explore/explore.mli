@@ -17,13 +17,13 @@ val run_once :
     remapped to the next runnable hart, every switch is recorded and
     oracle-checked, and the run stops at the first violation. *)
 
-val bug_name : Mir_rv.Machine.race_bug -> string
-val bug_of_name : string -> (Mir_rv.Machine.race_bug option, string) result
-val scenario_for_bug : Mir_rv.Machine.race_bug -> Scenario.t
+val bug_name : Race.bug -> string
+val bug_of_name : string -> (Race.bug option, string) result
+val scenario_for_bug : Race.bug -> Scenario.t
 
 val build :
   Scenario.t ->
-  ?bug:Mir_rv.Machine.race_bug ->
+  ?bug:Race.bug ->
   nharts:int ->
   seed:int64 ->
   unit ->
@@ -33,7 +33,6 @@ val build :
 type family = Rr | Random | Pct | Dfs
 
 val family_name : family -> string
-val family_of_name : string -> (family, string) result
 
 type campaign = {
   family : family;
@@ -47,7 +46,7 @@ type campaign = {
 
 val run_family :
   Scenario.t ->
-  ?bug:Mir_rv.Machine.race_bug ->
+  ?bug:Race.bug ->
   family:family ->
   seed:int64 ->
   max_schedules:int ->

@@ -199,7 +199,7 @@ let sfence_coherence (m : Machine.t) =
 (* ACE confidentiality: no confidential page may be readable at
    supervisor privilege from any hart that does not currently own the
    CVM — in particular not right after a return, which is exactly the
-   window a stale (deferred) re-protection leaves open. [cvms] yields
+   window a stale (delayed) re-protection leaves open. [cvms] yields
    (base, size, owning hart) for every live CVM; ownership [None]
    means the vcpu is returned and *no* hart may read the pages. *)
 let cvm_confidential ~cvms (m : Machine.t) =

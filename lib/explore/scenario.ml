@@ -7,7 +7,7 @@
    of (nharts, seed), so a schedule replayed against the same pair
    reproduces bit-identically.
 
-   Each scenario also names the race bug (Machine.race_bug) it is
+   Each scenario also names the race bug (Race.bug) it is
    designed to surface — the explorer arms the bug on the built
    machine when injection is requested. *)
 
@@ -40,7 +40,7 @@ type instance = {
 type t = {
   name : string;
   descr : string;
-  bug : Machine.race_bug option;
+  bug : Race.bug option;
       (** the injected race this scenario is designed to surface *)
   build : nharts:int -> seed:int64 -> instance;
 }
@@ -116,7 +116,7 @@ let ipi =
   {
     name = "ipi";
     descr = "IPI broadcast vs offloaded traps (MSIP delivery ordering)";
-    bug = Some Machine.Dropped_msip;
+    bug = Some Race.Dropped_msip;
     build;
   }
 
@@ -195,7 +195,7 @@ let sfence =
   {
     name = "sfence";
     descr = "concurrent PTE flip + remote fence (TLB epoch coherence)";
-    bug = Some Machine.Delayed_vm_epoch;
+    bug = Some Race.Delayed_vm_epoch;
     build;
   }
 
@@ -250,7 +250,7 @@ let keystone =
   {
     name = "keystone";
     descr = "enclave lifecycle vs OS sibling (PMP handoff isolation)";
-    bug = Some Machine.Pmp_handoff_window;
+    bug = Some Race.Pmp_handoff_window;
     build;
   }
 
@@ -260,7 +260,7 @@ let keystone =
 (* the hart, every exit returns it; the confidentiality oracle         *)
 (* demands the CVM's pages stay unreadable from every non-owning hart  *)
 (* at every switch point — the window the Ace_stale_ownership bug's    *)
-(* deferred re-protection opens.                                       *)
+(* delayed re-protection opens.                                        *)
 (* ------------------------------------------------------------------ *)
 
 let cvm_base = 0x8088_0000L
@@ -306,7 +306,7 @@ let ace =
   {
     name = "ace";
     descr = "confidential-VM steal/return vs OS sibling (ownership isolation)";
-    bug = Some Machine.Ace_stale_ownership;
+    bug = Some Race.Ace_stale_ownership;
     build;
   }
 

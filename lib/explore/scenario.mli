@@ -19,7 +19,7 @@ type instance = {
 type t = {
   name : string;
   descr : string;
-  bug : Mir_rv.Machine.race_bug option;
+  bug : Race.bug option;
       (** the injected race this scenario is designed to surface *)
   build : nharts:int -> seed:int64 -> instance;
 }

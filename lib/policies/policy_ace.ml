@@ -96,9 +96,9 @@ let create () =
         ]
     | None ->
         (* Non-confidential world: every live CVM's pages are denied.
-           A [leaked] CVM (injected Ace_stale_ownership defect) is
-           left without its deny entry until the deferred
-           re-protection lands. *)
+           A [leaked] CVM (its re-protection delayed by an armed race)
+           is left without its deny entry until the re-protection
+           lands. *)
         List.filter_map
           (fun c ->
             if c.state = Destroyed || c.leaked then None
@@ -131,11 +131,11 @@ let create () =
   in
   (* Return: ownership is released, the host context is restored and
      the CVM's pages are re-protected before the hart re-enters the
-     non-confidential world. Under the injected [Ace_stale_ownership]
-     defect the re-protection lands [race_window] steps late: the
-     returning hart's PMP is rebuilt without the CVM's deny entry, so
-     for a short window the firmware's all-allow vPMP entry exposes
-     the confidential pages to the OS. *)
+     non-confidential world. The re-protection is a [Cvm_reprotect]
+     site: if an armed race delays it, the returning hart's PMP is
+     rebuilt without the CVM's deny entry, so for a short window the
+     firmware's all-allow vPMP entry exposes the confidential pages to
+     the OS. *)
   let leave (ctx : Policy.ctx) run ~err ~value ~interrupted =
     let hart = ctx.Policy.hart in
     state.vm_exits <- state.vm_exits + 1;
@@ -145,14 +145,11 @@ let create () =
     install hart run.host;
     Hart.set hart 10 err;
     Hart.set hart 11 value;
-    (match ctx.Policy.machine.Machine.race_bug with
-    | Some Machine.Ace_stale_ownership ->
-        let cvm = run.cvm in
-        cvm.leaked <- true;
-        Machine.defer ctx.Policy.machine ~ticks:Machine.race_window (fun _ ->
-            cvm.leaked <- false;
-            ctx.Policy.reinstall_pmp_all ())
-    | _ -> ());
+    if
+      Machine.delay ctx.Policy.machine Machine.Cvm_reprotect (fun _ ->
+          run.cvm.leaked <- false;
+          ctx.Policy.reinstall_pmp_all ())
+    then run.cvm.leaked <- true;
     ctx.Policy.reinstall_pmp ();
     World.charge_ace_return ctx.Policy.config ctx.Policy.stats hart;
     if interrupted then begin

@@ -55,9 +55,9 @@ type cvm = {
       (** the hart currently stolen for this CVM's vcpu; [Some] iff
           [state = Running] *)
   mutable leaked : bool;
-      (** true only inside an injected [Ace_stale_ownership] window:
-          the CVM's deny entry is omitted from rebuilt PMPs until the
-          deferred re-protection lands *)
+      (** true only while an armed race delays this CVM's
+          [Cvm_reprotect] site: the CVM's deny entry is omitted from
+          rebuilt PMPs until the re-protection lands *)
 }
 
 type state = {

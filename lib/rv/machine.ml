@@ -32,19 +32,11 @@ let default_config =
     tlb_entries = 256;
   }
 
-(* Injectable cross-hart race windows, driven by the schedule explorer
-   (lib/explore). Each defect delays one cross-hart propagation step
-   (a remote TLB shootdown, a physical MSIP kick, a sibling PMP
-   reinstall, the re-protection of a returned confidential VM) by
-   [race_window] global machine steps, opening a short inconsistency
-   window that only a preemptive schedule can observe: under the stock
-   round-robin [run], the window opens and closes inside one hart's
-   slice, before the next hart-switch point. *)
-type race_bug =
-  | Delayed_vm_epoch
-  | Dropped_msip
-  | Pmp_handoff_window
-  | Ace_stale_ownership
+(* The cross-hart propagation points an armed machine may delay (the
+   schedule explorer's injected races, lib/explore). Each names the
+   remote half of one cross-hart update; the acting hart's own half
+   always lands at the site. *)
+type site = Remote_shootdown | Msip_kick of int | Pmp_reinstall | Cvm_reprotect
 
 type t = {
   config : config;
@@ -56,7 +48,7 @@ type t = {
   mutable blockdev : Blockdev.t option;
   mutable nic : Nic.t option;
   blocks : Block.cache;
-  mutable block_engine : bool;
+  mutable engine : engine;
   mutable mmode_hook : (t -> Hart.t -> Cause.t -> unit) option;
   mutable on_trap :
     (t -> Hart.t -> Cause.t -> from_priv:Priv.t -> to_m:bool -> unit) option;
@@ -68,11 +60,10 @@ type t = {
   mutable on_chunk : (t -> unit) option;
   mutable poweroff : bool;
   mutable instr_count : int;
-  mutable race_bug : race_bug option;
-  mutable deferred : deferred list;
 }
 
-and deferred = { mutable ticks : int; action : t -> unit }
+and engine = Blocks | Interp | Raced of race
+and race = { tick : t -> unit; delay : t -> site -> (t -> unit) -> bool }
 
 let syscon_base = 0x100000L
 
@@ -99,7 +90,7 @@ let create config =
       blockdev = None;
       nic = None;
       blocks = Block.create ~words:(config.ram_size / 4);
-      block_engine = true;
+      engine = Blocks;
       mmode_hook = None;
       on_trap = None;
       on_csr_write = None;
@@ -107,8 +98,6 @@ let create config =
       on_chunk = None;
       poweroff = false;
       instr_count = 0;
-      race_bug = None;
-      deferred = [];
     }
   in
   (* Test-finisher ("syscon"): a word write of 0x5555 powers off. *)
@@ -166,40 +155,28 @@ let invalidate_icache t addr size =
 
 let flush_icache t = Block.flush t.blocks
 
-(* Deferred cross-hart actions for the injected race windows: the
-   countdown ticks once per global machine step (any hart), so a
-   deferral of [race_window] models a propagation delay of a few
-   instructions of wall-clock. The queue is almost always empty, and
-   only [advance] ticks it, so neither engine's per-step path looks at
-   it. *)
-let race_window = 6
-let defer t ~ticks action = t.deferred <- t.deferred @ [ { ticks; action } ]
-
-let tick_deferred t =
-  List.iter (fun d -> d.ticks <- d.ticks - 1) t.deferred;
-  let due, rest = List.partition (fun d -> d.ticks <= 0) t.deferred in
-  t.deferred <- rest;
-  List.iter (fun d -> d.action t) due
+(* [true] iff an armed race took [action] to run later; production
+   machines always answer [false] and the site acts at once. *)
+let delay t site action =
+  match t.engine with Raced r -> r.delay t site action | _ -> false
 
 (* sfence.vma semantics over the software TLBs.  All harts are flushed
    on any hart's fence: over-invalidation is always architecturally
    safe, and it makes the counted-but-unfenced SBI remote-fence
-   offload conservative too.  [from] names the fencing hart; it only
-   matters under the Delayed_vm_epoch injected bug, where the fencing
-   hart's own TLB stays coherent but the cross-hart shootdown lands
-   [race_window] steps late. *)
-let sfence_vma t ?from ?vaddr () =
+   offload conservative too.  [from] names the fencing hart, whose own
+   TLB is flushed at once; the shootdown of the others is a
+   [Remote_shootdown] site. *)
+let sfence_vma t ?(from = -1) ?vaddr () =
   let flush h =
     match vaddr with
     | None -> Tlb.flush h.Hart.tlb
     | Some va -> Tlb.flush_page h.Hart.tlb va
   in
-  match (t.race_bug, from) with
-  | Some Delayed_vm_epoch, Some f ->
-      Array.iter (fun h -> if h.Hart.id = f then flush h) t.harts;
-      defer t ~ticks:race_window (fun t ->
-          Array.iter (fun h -> if h.Hart.id <> f then flush h) t.harts)
-  | _ -> Array.iter flush t.harts
+  let remote t =
+    Array.iter (fun h -> if h.Hart.id <> from then flush h) t.harts
+  in
+  if from >= 0 then flush t.harts.(from);
+  if from < 0 || not (delay t Remote_shootdown remote) then remote t
 
 let flush_tlbs t = Array.iter (fun h -> Tlb.flush h.Hart.tlb) t.harts
 
@@ -1139,10 +1116,7 @@ let get_or_compile t idx =
    observables of the per-step preamble are the irq-stale counter
    (bounded so no refresh point is skipped) and interrupt delivery
    (provably absent while mip land mie = 0, since nothing in a pure
-   run can change either side). The deferred-action queue is not one
-   of them: [advance] enters the engine only with it empty and ticks
-   it itself, and the engine hands control back right after any step
-   that deferred an action (only a trap or a memory/delegate op can).
+   run can change either side).
    Batched closures leave [pc] parked at the batch start (receiving
    their own position as a byte delta); the single [pc <- pc + 4b]
    store afterwards is the only boxed-int64 write of the whole batch.
@@ -1160,7 +1134,7 @@ let get_or_compile t idx =
    nothing else since dispatch writes memory). A chain target that is
    cold or unmapped falls back to one interpreted step and then tries
    again, so the loop only returns to [step_blocks] on budget
-   exhaustion, trap, deferral, wfi, halt or power-off.
+   exhaustion, trap, wfi, halt or power-off.
 
    Counter discipline: cycles/instret/instr_count updates for pure
    and control ops are accumulated in a local [pend] and flushed
@@ -1510,8 +1484,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
         else begin
           (* memory or delegate: full interpreter ceremony and the
              full set of stop checks (a store may invalidate this very
-             block; a delegate may do anything, an sfence.vma may defer
-             its remote shootdown) *)
+             block; a delegate may do anything) *)
           materialize ();
           flush ();
           (try (Array.unsafe_get !ops !i) hart
@@ -1523,7 +1496,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           incr i;
           if
             hart.Hart.just_trapped || t.poweroff || hart.Hart.halted
-            || !steps >= budget || t.deferred != []
+            || !steps >= budget
             || (match Block.lookup t.blocks !start_idx with
                | Some cur -> cur != !blk
                | None -> true)
@@ -1613,7 +1586,7 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
           incr steps;
           if
             hart.Hart.just_trapped || t.poweroff || hart.Hart.halted
-            || !steps >= budget || t.deferred != []
+            || !steps >= budget
           then continue_ := false
           else if not (pre_next ()) then begin
             incr steps;
@@ -1634,15 +1607,14 @@ let exec_block t hart blk0 start_idx0 ~page_base:page_base0 ~budget =
    [step] above remains the per-instruction oracle; this entry point
    must be bit-exact with running [step] the same number of times —
    record/replay digests and fleet determinism depend on it. It
-   returns right after a step that ends in trap entry or leaves a
-   deferred action queued, so a scheduler sees every trap and
-   [advance] ticks every deferral on time. Usage is confined to
-   lib/rv, lib/verif and bench by lint rule 7. *)
+   returns right after a step that ends in trap entry, so a scheduler
+   sees every trap. Usage is confined to lib/rv, lib/verif and bench
+   by lint rule 7. *)
 let step_blocks t hart ~budget =
   let steps = ref 0 in
   while
     !steps < budget && (not t.poweroff) && (not hart.Hart.halted)
-    && (!steps = 0 || not (hart.Hart.just_trapped || t.deferred != []))
+    && (!steps = 0 || not hart.Hart.just_trapped)
   do
     if not (pre_step t hart) then incr steps
     else begin
@@ -1683,31 +1655,30 @@ let step_blocks t hart ~budget =
 
 let block_stats t = Block.stats t.blocks
 let block_hit_rate t = Block.hit_rate t.blocks
-let set_block_engine t on = t.block_engine <- on
+let set_block_engine t on =
+  match t.engine with
+  | Raced _ -> ()
+  | Blocks | Interp -> t.engine <- (if on then Blocks else Interp)
 
 (* The one engine entry of every driver: run up to [k] >= 1 steps of a
-   live hart and return how many ran. It is the only reader of the
-   [block_engine] knob and the only place deferred race actions tick,
-   once before each step: while any is pending it moves one step;
-   otherwise the chosen engine runs until the budget, a trap entry, a
-   deferral, halt or power-off. *)
+   live hart and return how many ran, stopping early after a trap
+   entry, halt or power-off. An armed race ticks before every step,
+   so an armed machine single-steps and no engine hands control back
+   for it. *)
 let advance t hart k =
-  if t.deferred != [] then begin
-    tick_deferred t;
-    step t hart;
-    1
-  end
-  else if t.block_engine then step_blocks t hart ~budget:k
-  else
-    let rec interp n =
+  match t.engine with
+  | Blocks -> step_blocks t hart ~budget:k
+  | Interp ->
+      let rec interp n =
+        step t hart;
+        let stop = t.poweroff || hart.Hart.halted || hart.Hart.just_trapped in
+        if n < k && not stop then interp (n + 1) else n
+      in
+      interp 1
+  | Raced r ->
+      r.tick t;
       step t hart;
-      if
-        n < k && t.deferred == []
-        && not (t.poweroff || hart.Hart.halted || hart.Hart.just_trapped)
-      then interp (n + 1)
-      else n
-    in
-    interp 1
+      1
 
 let all_halted t =
   Array.for_all (fun h -> h.Hart.halted) t.harts

@@ -33,18 +33,15 @@ val default_config : config
     their conventional addresses, misaligned accesses trapping (like
     the VisionFive 2). *)
 
-(** Injectable cross-hart race windows (schedule explorer, lib/explore).
-    Each defect delays one cross-hart propagation step — the remote TLB
-    shootdown of an sfence, the physical MSIP kick behind a vCLINT IPI,
-    the sibling reinstall of a policy PMP handoff, the PMP
-    re-protection of a confidential VM whose hart was just returned to
-    the OS — by {!race_window} global steps, opening an inconsistency
-    window that only a preemptive schedule can observe. *)
-type race_bug =
-  | Delayed_vm_epoch
-  | Dropped_msip
-  | Pmp_handoff_window
-  | Ace_stale_ownership
+(** The cross-hart propagation points an armed machine may delay: the
+    schedule explorer (lib/explore) injects its races here. Each names
+    the remote half of one cross-hart update, whose acting hart's own
+    half always lands at the site: the TLB shootdown of the harts other
+    than an sfence's issuer; the physical MSIP kick of hart [h] behind
+    a virtual IPI posted by another hart; the sibling PMP reinstall of
+    a policy handoff; the PMP re-protection of a confidential VM whose
+    hart was just returned to the OS. *)
+type site = Remote_shootdown | Msip_kick of int | Pmp_reinstall | Cvm_reprotect
 
 type t = {
   config : config;
@@ -59,11 +56,9 @@ type t = {
       (** the decode cache: decoded words and the basic blocks built
           from them, in one sparse record per 4 KiB RAM page,
           physically indexed; see DESIGN.md §11 *)
-  mutable block_engine : bool;
-      (** whether {!run} and {!run_scheduled} execute through the
-          decoded basic-block engine ({!step_blocks}) rather than the
-          per-instruction interpreter ({!step}); true on creation, set
-          with {!set_block_engine} *)
+  mutable engine : engine;
+      (** what {!run} and {!run_scheduled} execute through; [Blocks] on
+          creation, switched with {!set_block_engine} *)
   mutable mmode_hook : (t -> Hart.t -> Cause.t -> unit) option;
   mutable on_trap :
     (t -> Hart.t -> Cause.t -> from_priv:Priv.t -> to_m:bool -> unit) option;
@@ -84,16 +79,18 @@ type t = {
   mutable instr_count : int;
       (** total machine steps retired (plain [int]: unboxed updates;
           63 bits outlast any simulation) *)
-  mutable race_bug : race_bug option;
-      (** armed race-window injection; [None] (the default) leaves
-          every propagation step atomic as before *)
-  mutable deferred : deferred list;
-      (** pending cross-hart propagation actions; ticked once per
-          global step of {!run}/{!run_scheduled} (not by a bare
-          {!step}), empty unless a race bug is armed *)
 }
 
-and deferred = { mutable ticks : int; action : t -> unit }
+(** [engine] is what {!run} and {!run_scheduled} execute through:
+    [Blocks], the decoded basic-block engine ({!step_blocks}); [Interp],
+    the per-instruction interpreter ({!step}); or [Raced], armed by the
+    schedule explorer: the interpreter, one step per engine call, with
+    [tick] called before each step of {!run}/{!run_scheduled} (not by a
+    bare {!step}). [delay t site action] is [true] iff the race takes
+    [action] to run later. *)
+and engine = Blocks | Interp | Raced of race
+
+and race = { tick : t -> unit; delay : t -> site -> (t -> unit) -> bool }
 
 val create : config -> t
 val attach_blockdev : t -> capacity_sectors:int -> latency_ticks:int64 -> Blockdev.t
@@ -119,14 +116,14 @@ val pending_interrupt : t -> Hart.t -> Cause.intr option
 
 val step : t -> Hart.t -> unit
 (** Execute one instruction (or deliver one interrupt / idle one
-    quantum in WFI). Deferred race actions are not ticked here: the
-    drivers tick them between steps. *)
+    quantum in WFI). An armed race is not ticked here: the drivers
+    tick it before each step. *)
 
 val step_blocks : t -> Hart.t -> budget:int -> int
 (** Consume up to [budget] machine steps through the decoded
     basic-block engine and return the number consumed (at least 1 on
     a live, non-powered-off machine). Returns early, right after a
-    step that ends in trap entry or defers a race action. Bit-exact
+    step that ends in trap entry. Bit-exact
     with calling {!step} the same number of times — architectural
     state, cycles, instret and the global instruction count all agree
     at every step boundary; only cache statistics differ. Exposed for
@@ -141,11 +138,12 @@ val block_hit_rate : t -> float
     compiled blocks (0 when the engine never ran). *)
 
 val set_block_engine : t -> bool -> unit
-(** Toggle the engine used by {!run} and {!run_scheduled}; flushing is
-    unnecessary because blocks are built from the same decoded words
-    the interpreter fetches. The engine needs the fetch-page cache
-    ([tlb_entries > 0]) to ever hit; without it every step falls back
-    to the interpreter. *)
+(** Choose [Blocks] or [Interp] for {!run} and {!run_scheduled};
+    flushing is unnecessary because blocks are built from the same
+    decoded words the interpreter fetches. The block engine needs the
+    fetch-page cache ([tlb_entries > 0]) to ever hit; without it every
+    step falls back to the interpreter. No effect on a [Raced]
+    machine, which single-steps whatever was chosen before. *)
 
 val charge : Hart.t -> int -> unit
 (** Add cost-model cycles to a hart. *)
@@ -158,8 +156,7 @@ val run : ?max_instrs:int64 -> t -> unit
     time synced after each round, until power-off, all harts halt, or
     the instruction budget is exhausted (checked between rounds).
     Every slice goes through the same internal [advance] as
-    {!run_scheduled}: the engine chosen by {!set_block_engine}, with
-    deferred race actions ticked once per step. *)
+    {!run_scheduled}, a single match on {!field:t.engine}. *)
 
 val run_scheduled :
   ?max_steps:int -> next:(t -> step:int -> last:int -> int * int) -> t -> int
@@ -176,13 +173,11 @@ val run_scheduled :
     out-of-range hart steps nothing but consumes one step. [next] may
     raise to abort the run. *)
 
-val race_window : int
-(** Width, in global steps, of every injected race window. *)
-
-val defer : t -> ticks:int -> (t -> unit) -> unit
-(** Schedule an action to run at the start of the [ticks]-th next
-    machine step (any hart) of {!run}/{!run_scheduled}. Used by the
-    race-bug injections to model delayed cross-hart propagation. *)
+val delay : t -> site -> (t -> unit) -> bool
+(** [delay t site action]: offer the remote half of a cross-hart update
+    to an armed race. [true] means the race took [action] and will run
+    it later; [false] (always, unless [Raced]) means the caller must
+    run it now. *)
 
 val all_halted : t -> bool
 
@@ -200,9 +195,8 @@ val invalidate_icache : t -> int64 -> int -> unit
 val sfence_vma : t -> ?from:int -> ?vaddr:int64 -> unit -> unit
 (** Architectural [sfence.vma] over the software TLBs of all harts:
     global without [vaddr], per-vpage with it. [from] names the
-    fencing hart; it changes nothing architecturally, but under the
-    Delayed_vm_epoch injected bug the cross-hart shootdown (every hart
-    but [from]) lands {!race_window} steps late. *)
+    fencing hart, flushed at once; the shootdown of every other hart
+    is then a [Remote_shootdown] {!delay} site. *)
 
 val flush_tlbs : t -> unit
 (** Flush every hart's TLB and fetch-page cache (checkpoint restore,

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 dune build
 
-# AST-driven invariant analyzer (lib/analysis, DESIGN.md §12): all nine
+# AST-driven invariant analyzer (lib/analysis, DESIGN.md §12): all ten
 # rules over lib/ bin/ bench/ examples/ test/, JSON report, zero
 # diagnostics required (the CLI exits 1 on any). scripts/lint.sh wraps
 # the same engine for interactive use.

@@ -5,8 +5,8 @@
    reproduce its recorded oracle violation deterministically, and each
    must stay small (<= 8 preemption points). The round-robin baseline
    must stay blind to all four bugs — that asymmetry is the whole
-   point of the explorer. Every schedule must also run bit-identically
-   on the block engine and on the interpreter. *)
+   point of the explorer. An unarmed schedule must also run
+   bit-identically on the block engine and on the interpreter. *)
 
 module Explore = Mir_explore.Explore
 module Scenario = Mir_explore.Scenario
@@ -14,6 +14,7 @@ module Oracle = Mir_explore.Oracle
 module Schedule = Mir_trace.Schedule
 module Shrink = Mir_fuzz.Shrink
 module Machine = Mir_rv.Machine
+module Race = Mir_explore.Race
 module Hart = Mir_rv.Hart
 module Sched = Mir_explore.Sched
 module Setup = Mir_harness.Setup
@@ -132,7 +133,8 @@ let test_no_bug_clean scn () =
 (* ------------------------------------------------------------------ *)
 
 (* Run one schedule on a fresh instance with the block engine on or
-   off, and keep everything its verdict and end state consist of. *)
+   off, and keep everything its verdict and end state consist of. An
+   armed instance single-steps whatever the switch says. *)
 let run_on ~engine (scn : Scenario.t) ?bug ~seed ?max_steps sched =
   let inst = Explore.build scn ?bug ~nharts:2 ~seed () in
   Machine.set_block_engine inst.Scenario.system.Setup.machine engine;
@@ -144,15 +146,23 @@ let run_on ~engine (scn : Scenario.t) ?bug ~seed ?max_steps sched =
       o.Explore.violation,
     Setup.state_hash inst.Scenario.system )
 
-let check_engines label run =
+let check_engines ?verdict label run =
   let steps1, sw1, v1, h1 = run ~engine:true in
   let steps0, sw0, v0, h0 = run ~engine:false in
   Alcotest.(check int) (label ^ ": steps") steps0 steps1;
   Alcotest.(check (list (pair int int))) (label ^ ": switches") sw0 sw1;
   Alcotest.(check (option (triple string int string)))
     (label ^ ": violation") v0 v1;
-  Alcotest.(check int64) (label ^ ": state hash") h0 h1
+  Alcotest.(check int64) (label ^ ": state hash") h0 h1;
+  Option.iter
+    (fun oracle ->
+      Alcotest.(check (option string))
+        (label ^ ": verdict") (Some oracle)
+        (Option.map (fun (o, _, _) -> o) v1))
+    verdict
 
+(* The checked-in schedules are armed: the switch must neither disarm
+   them nor change their verdict. *)
 let test_engine_ab_schedules () =
   List.iter
     (fun file ->
@@ -162,39 +172,31 @@ let test_engine_ab_schedules () =
         Option.bind sch.Schedule.bug (fun n ->
             Result.get_ok (Explore.bug_of_name n))
       in
-      check_engines file (fun ~engine ->
+      check_engines ~verdict:sch.Schedule.oracle file (fun ~engine ->
           run_on ~engine scn ?bug ~seed:sch.Schedule.seed
             ~max_steps:sch.Schedule.steps (fun () ->
               Sched.of_switches sch.Schedule.switches)))
     schedule_files
 
-(* Random and PCT schedules over eight build seeds, with and without
-   the scenario's race armed. *)
+(* Random and PCT schedules over eight build seeds, unarmed: an armed
+   instance single-steps on either side, so only these compare two
+   engines. *)
 let test_engine_ab_sweep (scn : Scenario.t) () =
-  List.iter
-    (fun bug ->
-      for i = 0 to 7 do
-        let seed = Int64.add Config.default_seed (Int64.of_int i) in
-        let prng kind = Config.derive seed ("engine-ab:" ^ kind) in
-        let label kind =
-          Printf.sprintf "%s/%s/%s/%d" scn.Scenario.name
-            (match bug with None -> "none" | Some b -> Explore.bug_name b)
-            kind i
-        in
-        check_engines (label "random") (fun ~engine ->
-            run_on ~engine scn ?bug ~seed (fun () ->
-                Sched.random ~prng:(prng "random") ~nharts:2 ()));
-        check_engines (label "pct") (fun ~engine ->
-            run_on ~engine scn ?bug ~seed (fun () ->
-                Sched.pct ~depth:(1 + (i mod 3)) ~prng:(prng "pct") ~nharts:2
-                  ()))
-      done)
-    [ None; scn.Scenario.bug ]
+  for i = 0 to 7 do
+    let seed = Int64.add Config.default_seed (Int64.of_int i) in
+    let prng kind = Config.derive seed ("engine-ab:" ^ kind) in
+    let label kind = Printf.sprintf "%s/%s/%d" scn.Scenario.name kind i in
+    check_engines (label "random") (fun ~engine ->
+        run_on ~engine scn ~seed (fun () ->
+            Sched.random ~prng:(prng "random") ~nharts:2 ()));
+    check_engines (label "pct") (fun ~engine ->
+        run_on ~engine scn ~seed (fun () ->
+            Sched.pct ~depth:(1 + (i mod 3)) ~prng:(prng "pct") ~nharts:2 ()))
+  done
 
-(* Deferred race actions tick once per global step, before it, on
-   either engine. A 2-hart bare machine runs hart 0 alone through
-   [sfence.vma; 6 x addi; j back] in one long segment. *)
-let deferral_machine ~engine ?bug () =
+(* A 2-hart bare machine that runs hart 0 alone through
+   [sfence.vma; 6 x addi; j back], armed after [engine] is chosen. *)
+let race_machine ~engine ?bug () =
   let m =
     Machine.create
       {
@@ -204,7 +206,7 @@ let deferral_machine ~engine ?bug () =
       }
   in
   Machine.set_block_engine m engine;
-  m.Machine.race_bug <- bug;
+  Option.iter (Race.arm m) bug;
   let words =
     Mir_rv.Instr.(
       (Sfence_vma (0, 0) :: List.init 6 (fun _ -> Op_imm (Addi, 5, 5, 1L)))
@@ -223,39 +225,49 @@ let deferral_machine ~engine ?bug () =
 
 let hart0 _ ~step:_ ~last:_ = (0, max_int)
 
-let test_deferral_timing () =
+(* The race hook delays an action by [Race.window] global steps, ticked
+   before each step; an unarmed machine never delays. *)
+let test_delay_timing () =
+  let noop _ = () in
+  Alcotest.(check bool) "unarmed machine acts at once" false
+    (Machine.delay (race_machine ~engine:true ()) Machine.Pmp_reinstall noop);
+  let m = race_machine ~engine:true ~bug:Race.Pmp_handoff_window () in
+  Alcotest.(check bool) "other sites act at once" false
+    (Machine.delay m Machine.Remote_shootdown noop);
+  let fired = ref (-1) in
+  Alcotest.(check bool) "the bug's site is delayed" true
+    (Machine.delay m Machine.Pmp_reinstall (fun m ->
+         fired := m.Machine.instr_count));
+  ignore (Machine.run_scheduled m ~max_steps:10 ~next:hart0);
+  Alcotest.(check int) "fired before the window-th step" (Race.window - 1)
+    !fired;
+  (* the shootdown each guest sfence.vma delays under vm-epoch reaches
+     hart 1 at the same step within one long segment as in a run of
+     one-step segments, whichever engine was chosen before arming *)
   List.iter
     (fun engine ->
       let label = if engine then "engine" else "interpreter" in
-      (* an action deferred by 3 ticks runs before the third step *)
-      let m = deferral_machine ~engine () in
-      let fired = ref (-1) in
-      Machine.defer m ~ticks:3 (fun m -> fired := m.Machine.instr_count);
-      ignore (Machine.run_scheduled m ~max_steps:10 ~next:hart0);
-      Alcotest.(check int) (label ^ ": fired after two steps") 2 !fired;
-      (* the shootdown each guest sfence.vma defers under
-         Delayed_vm_epoch reaches hart 1 after exactly as many steps
-         within one segment as in a run of one-step segments *)
-      let remote_flushes m =
-        Mir_rv.Tlb.flushes m.Machine.harts.(1).Hart.tlb
-      in
+      let remote_flushes m = Mir_rv.Tlb.flushes m.Machine.harts.(1).Hart.tlb in
+      let armed () = race_machine ~engine ~bug:Race.Delayed_vm_epoch () in
       let reference =
-        let m = deferral_machine ~engine ~bug:Machine.Delayed_vm_epoch () in
+        let m = armed () in
         List.init 30 (fun _ ->
             ignore (Machine.run_scheduled m ~max_steps:1 ~next:hart0);
             remote_flushes m)
       in
       let segment =
         List.init 30 (fun n ->
-            let m =
-              deferral_machine ~engine ~bug:Machine.Delayed_vm_epoch ()
-            in
+            let m = armed () in
             ignore (Machine.run_scheduled m ~max_steps:(n + 1) ~next:hart0);
             remote_flushes m)
       in
       Alcotest.(check bool)
         (label ^ ": shootdowns land") true
         (List.nth reference 29 >= 3);
+      Alcotest.(check (pair int int))
+        (label ^ ": first lands at the start of step window+1")
+        (0, 1)
+        (List.nth reference (Race.window - 1), List.nth reference Race.window);
       Alcotest.(check (list int))
         (label ^ ": shootdown steps")
         reference segment)
@@ -284,10 +296,10 @@ let () =
             Alcotest.test_case (Explore.bug_name bug) `Slow
               (test_round_robin_blind bug))
           [
-            Machine.Dropped_msip;
-            Machine.Delayed_vm_epoch;
-            Machine.Pmp_handoff_window;
-            Machine.Ace_stale_ownership;
+            Race.Dropped_msip;
+            Race.Delayed_vm_epoch;
+            Race.Pmp_handoff_window;
+            Race.Ace_stale_ownership;
           ] );
       ( "preemptive schedulers catch",
         List.map
@@ -297,7 +309,7 @@ let () =
                  (Explore.family_name family) (Explore.bug_name bug))
               `Slow
               (test_preemptive_catches family bug oracles))
-          Machine.
+          Race.
             [
               (Explore.Random, Ace_stale_ownership, [ "cvm-confidential" ]);
               (Explore.Pct, Ace_stale_ownership, [ "cvm-confidential" ]);
@@ -314,7 +326,7 @@ let () =
         Alcotest.test_case "checked-in schedules" `Slow
           test_engine_ab_schedules
         :: Alcotest.test_case "deferred actions fire on time" `Quick
-             test_deferral_timing
+             test_delay_timing
         :: List.map
              (fun scn ->
                Alcotest.test_case

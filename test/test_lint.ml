@@ -249,6 +249,30 @@ let test_determinism () =
        "(* never call Sys.time or Unix.gettimeofday here *)\nlet k = 1\n")
 
 (* ------------------------------------------------------------------ *)
+(* Rule 10: race-hook                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_race_hook () =
+  check_int "constructing Raced outside the explorer flagged" 1
+    (fired ~file:"lib/core/x.ml" ~rule:"race-hook"
+       "let f m r = m.Machine.engine <- Machine.Raced r\n");
+  check_int "calling Race.arm outside the explorer flagged" 1
+    (fired ~file:"bin/x.ml" ~rule:"race-hook"
+       "let f m = Mir_explore.Race.arm m Race.Dropped_msip\n");
+  check_int "matching on Raced (the engine dispatch) passes" 0
+    (fired ~file:"lib/rv/x.ml" ~rule:"race-hook"
+       "let f t = match t.engine with Raced r -> r.tick t | _ -> ()\n");
+  check_int "the explorer and tests may arm" 0
+    (fired ~file:"lib/explore/x.ml" ~rule:"race-hook"
+       "let f m r = m.Machine.engine <- Machine.Raced r\n"
+    + fired ~file:"test/x.ml" ~rule:"race-hook"
+        "let f m = Race.arm m Race.Dropped_msip\n");
+  check_int "comment and string decoys silent" 0
+    (fired ~file:"lib/core/x.ml" ~rule:"race-hook"
+       "(* Race.arm makes the engine Machine.Raced *)\n\
+        let s = \"Raced r\"\n")
+
+(* ------------------------------------------------------------------ *)
 (* Every rule's fixtures go dark when the rule is disabled             *)
 (* ------------------------------------------------------------------ *)
 
@@ -271,6 +295,9 @@ let rule_triggers =
       "bin/x.ml",
       "let go r = Domain.spawn (fun () -> r := 1)\n" );
     ("determinism", "lib/core/x.ml", "let t () = Sys.time ()\n");
+    ( "race-hook",
+      "lib/core/x.ml",
+      "let f m r = m.Machine.engine <- Machine.Raced r\n" );
   ]
 
 let test_catalog_covers_triggers () =
@@ -437,6 +464,9 @@ let () =
         ] );
       ( "determinism",
         [ Alcotest.test_case "entropy sources" `Quick test_determinism ] );
+      ( "race-hook",
+        [ Alcotest.test_case "armed only by explorer and tests" `Quick
+            test_race_hook ] );
       ( "engine",
         [
           Alcotest.test_case "catalog covers triggers" `Quick

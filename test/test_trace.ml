@@ -3,8 +3,10 @@
    Covers: JSONL round-trips for every event kind, ring-buffer drop
    semantics, dirty-page tracking, full record → fresh-system replay
    with bit-identical final state, checkpoint/restore straight-line
-   equivalence plus rewind-replay from a mid-run checkpoint, and
-   divergence detection of a single mutated CSR. *)
+   equivalence plus rewind-replay from a mid-run checkpoint,
+   divergence detection of a single mutated CSR, and cross-driver
+   equivalence: [Machine.run], a round-robin [run_scheduled], trace
+   replay and the fleet's own path end in the same state. *)
 
 module Setup = Mir_harness.Setup
 module Script = Mir_kernel.Script
@@ -338,6 +340,66 @@ let test_divergence_detects_mutated_csr () =
         (Format.asprintf "%a" Replay.pp_outcome o)
 
 (* ------------------------------------------------------------------ *)
+(* Cross-driver equivalence                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The final state hash of [scripts] on a fresh [platform] system under
+   each driver: [Machine.run] (via [Setup.run_scripts]), [run_scheduled]
+   under a 32-step round-robin [Sched], and replay of the [Machine.run]
+   recording. *)
+let driver_hashes platform scripts =
+  let fresh () = Setup.create platform Setup.Virtualized in
+  let run =
+    let sys = fresh () in
+    let recorder, _ = Setup.attach_recorder sys in
+    Setup.run_scripts sys scripts;
+    (Setup.state_hash sys, Recorder.events recorder)
+  in
+  let scheduled =
+    let sys = fresh () in
+    let m = sys.Setup.machine in
+    let nharts = Array.length m.Machine.harts in
+    List.iteri (fun h s -> Script.write m ~hart:h s) scripts;
+    let rr = Mir_explore.Sched.round_robin ~slice:32 ~nharts () in
+    ignore (Machine.run_scheduled m ~next:rr.Mir_explore.Sched.next);
+    Setup.state_hash sys
+  in
+  let replayed =
+    let sys = fresh () in
+    let replay, _ = Setup.attach_replay sys ~events:(snd run) in
+    Setup.run_scripts sys scripts;
+    (match Replay.finish replay with
+    | Replay.Match _ -> ()
+    | o ->
+        Alcotest.failf "replay: %s" (Format.asprintf "%a" Replay.pp_outcome o));
+    Setup.state_hash sys
+  in
+  (fst run, scheduled, replayed)
+
+let test_cross_driver_boot () =
+  let scripts = Mir_workloads.Boot_trace.script () in
+  let run, scheduled, replayed = driver_hashes vf2 scripts in
+  Helpers.check_i64 "run_scheduled (round-robin 32)" run scheduled;
+  Helpers.check_i64 "trace replay" run replayed
+
+let test_cross_driver_fleet () =
+  let module Fleet = Mir_fleet.Fleet in
+  let spec = { Fleet.default_spec with Fleet.machines = 4 } in
+  List.iter
+    (fun id ->
+      let _, stream = Fleet.plan spec id in
+      let run, scheduled, replayed =
+        driver_hashes Fleet.platform [ stream.Mir_fleet.Load.script ]
+      in
+      let label what = Printf.sprintf "machine %d: %s" id what in
+      Helpers.check_i64 (label "run_scheduled (round-robin 32)") run
+        scheduled;
+      Helpers.check_i64 (label "trace replay") run replayed;
+      Helpers.check_i64 (label "Fleet.run_one") run
+        (Fleet.run_one spec id).Fleet.digest)
+    [ 0; 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
 (* Seeded PRNG plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -387,6 +449,11 @@ let () =
             test_checkpoint_restore_and_rewind_replay;
           Alcotest.test_case "checkpoint mid-paging workload" `Quick
             test_checkpoint_paging_workload;
+        ] );
+      ( "cross-driver",
+        [
+          Alcotest.test_case "boot script" `Slow test_cross_driver_boot;
+          Alcotest.test_case "fleet mix script" `Slow test_cross_driver_fleet;
         ] );
       ( "prng",
         [ Alcotest.test_case "config-rooted determinism" `Quick test_config_prng ] );
